@@ -8,6 +8,19 @@ repeated SETUP_ROUNDS times and its median reported as setup_s.  The
 workload's job is then repeated until --seconds would be exceeded; every
 repetition's outputs are checked outside the timed region.
 
+Times are given at a reference host speed.  The CPU speed this benchmark
+gets from a shared host drifts by up to a factor of two over minutes, so the
+raw time of one fixed job differs between runs by more than the bounds.  A
+fixed pure-Python loop that uses no critgraphs code (``calibration_loop``)
+is timed before every operation and before every set-up round, outside the
+timed regions; each job's and each set-up round's times are multiplied by
+(REFERENCE_LOOP_S / median loop time measured with them) ** SPEED_EXPONENT.
+The exponent is below 1 because the loop's time moves more than the
+workloads' own: regressing the log of raw job time on the log of loop time
+gave slopes of 0.4 to 0.94 over the three workloads.  A reported second is
+thus about a second on a host where the loop takes REFERENCE_LOOP_S.  Raw
+times and the speed factors are printed and written beside them.
+
 --trace 0 reports the end-to-end metrics: wall_s (median job time),
 op_p50_ms and op_p90_ms (latency of one operation over all repetitions),
 setup_s and peak_rss_mib.  --trace 1 alternates untraced and traced
@@ -45,7 +58,10 @@ sys.path.insert(0, str(HERE))
 from tracer import Tracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-SETUP_ROUNDS = 7
+SETUP_ROUNDS = 11
+SETUP_LOOPS = 15  # calibration loops timed before each set-up round
+REFERENCE_LOOP_S = 0.8e-3  # calibration loop time at the reference host speed
+SPEED_EXPONENT = 0.6  # how strongly job times follow the loop's time
 MODULES = ("cli", "bounds", "coloring", "discharge", "generators", "graph", "reducible", "structure")
 
 # (span name, module, attribute path, outcome label of a return value)
@@ -81,14 +97,38 @@ RATIOS = (
 )
 
 
+def calibration_loop():
+    """Seconds one fixed pass of integer, tuple, dict, set and sort work
+    takes: a probe of the host's current speed, independent of critgraphs."""
+    t0 = time.perf_counter()
+    counts, pairs, seen = {}, [], set()
+    for i in range(1000):
+        key = (i * 7919) % 1013
+        counts[key] = counts.get(key, 0) + 1
+        pairs.append((key, i & 7))
+    pairs.sort()
+    for key, low in pairs:
+        if key not in seen:
+            seen.add(key ^ low)
+    return time.perf_counter() - t0
+
+
+def speed_scale(loop_times):
+    """Factor taking times measured beside these loop times to the reference speed."""
+    return (REFERENCE_LOOP_S / statistics.median(loop_times)) ** SPEED_EXPONENT
+
+
 class Recorder:
-    """Times each operation of a job; in a traced job it is also a root span."""
+    """Times each operation of a job, after one calibration loop; in a traced
+    job each operation is also a root span."""
 
     def __init__(self, tracer=None):
         self.tracer = tracer
         self.latencies = []
+        self.loops = []
 
     def op(self, kind, fn, *args):
+        self.loops.append(calibration_loop())
         t0 = time.perf_counter()
         try:
             if self.tracer is None:
@@ -135,23 +175,27 @@ def git_commit():
 
 
 def run_job(workload, cg, inputs, tracer=None):
+    """One repetition of the job: its raw wall time (calibration loops taken
+    out), the factor to the reference speed, raw latencies and results."""
     rec = Recorder(tracer)
     t0 = time.perf_counter()
     results = workload.job(cg, inputs, rec)
-    wall = time.perf_counter() - t0
-    return wall, rec.latencies, results
+    wall = time.perf_counter() - t0 - sum(rec.loops)
+    return wall, speed_scale(rec.loops), rec.latencies, results
 
 
 def measure(workload, cg, inputs, seconds):
     """Untraced repetitions of the job until the next would pass --seconds."""
-    walls, lat, failures, info = [], [], [], {}
+    walls, raw_walls, scales, lat, failures, info = [], [], [], [], [], {}
     attempted = 0
     start = time.perf_counter()
     while True:
-        wall, latencies, results = run_job(workload, cg, inputs)
+        wall, scale, latencies, results = run_job(workload, cg, inputs)
         bad, info = workload.check(cg, inputs, results)
-        walls.append(wall)
-        lat += latencies
+        walls.append(wall * scale)
+        raw_walls.append(wall)
+        scales.append(scale)
+        lat += [t * scale for t in latencies]
         attempted += len(results)
         failures += bad
         if time.perf_counter() - start + wall > seconds:
@@ -162,7 +206,8 @@ def measure(workload, cg, inputs, seconds):
         "op_p50_ms": (deciles[4] * 1e3, "ms"),
         "op_p90_ms": (deciles[8] * 1e3, "ms"),
     }
-    counts = {"job_walls_s": walls, "op_samples": len(lat), **info}
+    counts = {"job_walls_s": walls, "raw_job_walls_s": raw_walls, "speed_scales": scales,
+              "op_samples": len(lat), **info}
     return metrics, counts, attempted, failures
 
 
@@ -199,23 +244,24 @@ def measure_traced(workload, cg, inputs, seconds, spans_path, meta):
         for part in path:
             owner = getattr(owner, part)
         targets.append((name, owner, last, outcome))
-    plain, traced, pcts, selfs_runs = [], [], [], []
+    plain, traced, raw_traced, pcts, selfs_runs = [], [], [], [], []
     work = None
     failures, info = [], {}
     attempted = 0
     tracer = Tracer()
     start = time.perf_counter()
     while True:
-        wall, _, results = run_job(workload, cg, inputs)
-        plain.append(wall)
+        wall, scale, _, results = run_job(workload, cg, inputs)
+        plain.append(wall * scale)
         tracer.reset()
         tracer.install(targets)
         try:
-            twall, _, tresults = run_job(workload, cg, inputs, tracer)
+            twall, tscale, _, tresults = run_job(workload, cg, inputs, tracer)
         finally:
             tracer.restore()
         counts, pct, selfs = layer_metrics(tracer, twall)
-        traced.append(twall)
+        traced.append(twall * tscale)
+        raw_traced.append(twall)
         pcts.append(pct)
         selfs_runs.append(selfs)
         if work is None:
@@ -240,7 +286,7 @@ def measure_traced(workload, cg, inputs, seconds, spans_path, meta):
         for name, _, _, _ in LAYERS
     }
     counts = {"job_walls_s": plain, "traced_job_walls_s": traced,
-              "layers": table, **info}
+              "raw_traced_job_walls_s": raw_traced, "layers": table, **info}
     return metrics, counts, attempted, failures
 
 
@@ -277,12 +323,14 @@ def main(argv=None):
     OUT.mkdir(exist_ok=True)
     workdir = tempfile.mkdtemp(prefix="work-", dir=OUT)
     try:
-        setup_times = []
+        setup_times, raw_setup_times = [], []
         for _ in range(SETUP_ROUNDS):
+            scale = speed_scale([calibration_loop() for _ in range(SETUP_LOOPS)])
             t0 = time.perf_counter()
             cg = load_package()
             inputs = workload.setup(cg, args.seed, workdir)
-            setup_times.append(time.perf_counter() - t0)
+            raw_setup_times.append(time.perf_counter() - t0)
+            setup_times.append(raw_setup_times[-1] * scale)
         if Path(cg.pkg.__file__).resolve().parent != SRC / "critgraphs":
             print("critgraphs imported from %s, not %s" % (cg.pkg.__file__, SRC), file=sys.stderr)
             return 2
@@ -308,6 +356,7 @@ def main(argv=None):
         else:
             metrics, counts, attempted, failures = measure(workload, cg, inputs, args.seconds)
             metrics["setup_s"] = (statistics.median(setup_times), "s")
+            counts["raw_setup_s"] = raw_setup_times
             metrics["peak_rss_mib"] = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MiB")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -329,7 +378,7 @@ def main(argv=None):
         print("%-44s %14.6g %s" % (name, value, unit))
     print("%-44s %14.6g %s" % ("error_rate", error_rate, "ratio"))
     if args.trace:
-        print("%-44s %10s %12s" % ("layer", "calls", "self_s"))
+        print("%-44s %10s %12s" % ("layer", "calls", "raw self_s"))
         for name, row in counts.pop("layers").items():
             print("%-44s %10d %12.6f" % (name, row["calls"], row["self_s"]))
     print("counts " + json.dumps(counts, sort_keys=True))

@@ -54,6 +54,8 @@ SWEEP_COUNTS = {5: 468, 6: 679, 7: 272}
 CHAINS = tuple((k, m) for k in (5, 6, 7) for m in (1, 2, 3, 4))
 SHORT_G6_MAX_N = 62
 LEDGER_TREE_N = 7  # padded trees come from the sweep's own enumeration, n <= 7
+LEDGERS_PER_SHAPE = 3  # padded instances per (k, number of trees)
+LEDGER_DRAW = 2016
 
 
 def pad_to_degree(cg, k, trees):
@@ -90,18 +92,25 @@ def pad_to_degree(cg, k, trees):
 
 
 def _sweep_setup(cg, seed, workdir):
-    rng = Random(seed)
+    # The three verify-trees calls take 0.4-2.5 s and every other operation
+    # milliseconds.  LEDGERS_PER_SHAPE keeps those three under 10% of a job's
+    # operations, so that op_p90_ms rests on many short operations and not on
+    # a few samples of one long call.  The padded trees set how long each
+    # ledger takes, so a draw per seed would move the latencies with the draw:
+    # the trees are drawn once from LEDGER_DRAW and the seed orders the job.
+    draw = Random(LEDGER_DRAW)
     ledgers = []
     for k in (5, 6, 7):
         pool = list(cg.pkg.enumerate_gallai_trees(k, LEDGER_TREE_N))
         params = cg.pkg.make_params(k, cg.pkg.preset_params(k, "smallP"))
         for parts in (1, 2, 3):
-            g = pad_to_degree(cg, k, rng.sample(pool, parts))
-            comps = sorted(cg.pkg.low_high_split(g, k).l_components, key=min)
-            ledgers.append((k, g, params, comps))
+            for _ in range(LEDGERS_PER_SHAPE):
+                g = pad_to_degree(cg, k, draw.sample(pool, parts))
+                comps = sorted(cg.pkg.low_high_split(g, k).l_components, key=min)
+                ledgers.append((k, g, params, comps))
     ops = [("verify", k, n) for k, n in SWEEP] + [("construct", k, m) for k, m in CHAINS]
     ops += [("ledger", i) for i in range(len(ledgers))]
-    rng.shuffle(ops)
+    Random(seed).shuffle(ops)
     return {"ops": ops, "ledgers": ledgers}
 
 
