@@ -20,6 +20,7 @@ from .bounds import (
     main_bound,
     preset_params,
     table1,
+    tree_bound_failures,
     tree_bound_rhs,
 )
 from .coloring import (

@@ -14,6 +14,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import PreconditionError
+from .graph import Graph, contains_clique
+from .structure import q_value
 
 F = Fraction
 
@@ -146,6 +148,27 @@ def check_thm43(bp: BoundParams) -> CheckReport:
 def tree_bound_rhs(bp: BoundParams, n: int, q: int) -> Fraction:
     """Right side of the tree degree bound: (k-3+p)n + f + h*q."""
     return (bp.k - 3 + bp.p) * n + bp.f + bp.h * q
+
+
+def tree_bound_failures(g: Graph, k: int) -> list[str]:
+    """The four per-tree bounds on 2||G|| (Lemmas 2.2, 3.1 and Corollary
+    3.3) for a Gallai tree g; returns the names of any that fail."""
+    n, m2 = g.n, 2 * g.m
+    q = q_value(g, k)
+    basic = (k - 2 + F(2, k - 1)) * n
+    failures = []
+    if not m2 < basic:
+        failures.append("basic-strict")
+    if not m2 <= basic - 2:
+        failures.append("refined-minus-2")
+    if contains_clique(g, k - 1)[0]:
+        if not m2 <= tree_bound_rhs(preset_params(k, "smallP"), n, q):
+            failures.append("with-clique")
+    else:
+        bp = BoundParams(k=k, p=F(3, k - 2), f=F(-3), h=F(0))
+        if not m2 <= tree_bound_rhs(bp, n, 0):
+            failures.append("without-clique")
+    return failures
 
 
 def main_bound(k: int, variant: str, bp: BoundParams) -> Fraction:

@@ -23,9 +23,14 @@ from .bounds import (
     main_bound,
     preset_params,
     table1,
+    tree_bound_failures,
     tree_bound_rhs,
 )
 from .coloring import (
+    AT_MAX_EDGES,
+    CHI_MAX_VERTICES,
+    CHOOSE_MAX_VERTICES,
+    PAINT_MAX_VERTICES,
     at_number,
     chromatic_number,
     is_f_AT,
@@ -45,8 +50,8 @@ from .discharge import (
 )
 from .errors import BudgetExceeded, EliminationFailed, GraphFormatError, PreconditionError
 from .generators import clique_path, enumerate_gallai_trees, extremal_chain
-from .graph import Graph, contains_clique, parse_edge_list, parse_graph6, write_graph6
-from .reducible import check_lemma51, check_lemma52, check_lemma53
+from .graph import Graph, _int_pair, parse_edge_list, parse_graph6, write_graph6
+from .reducible import MAX_EXPLORED, check_lemma51, check_lemma52, check_lemma53
 from .structure import (
     block_decomposition,
     build_auxiliary,
@@ -74,27 +79,38 @@ def _rat(x) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
 
 
+def _read_text(source: str) -> str:
+    """The text of the file at source, or of stdin for '-'."""
+    name = "stdin" if source == "-" else repr(source)
+    try:
+        if source == "-":
+            return sys.stdin.read()
+        with open(source, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise GraphFormatError(
+            "byte 0x%02x at byte offset %d of %s is not ASCII" % (e.object[e.start], e.start, name)
+        ) from None
+    except ValueError as e:  # e.g. open() rejects a path holding a NUL byte
+        raise GraphFormatError("cannot read %s: %s" % (name, e)) from None
+
+
 def _read_graph(token: str) -> Graph:
     """Accept a graph6 literal, '@path' to a file, or '-' for stdin.
 
     Files holding an 'n m' header line are read as edge lists, anything else
     as graph6 (a '>>graph6<<' header is tolerated).
     """
-    if token == "-":
-        text = sys.stdin.read()
-    elif token.startswith("@"):
-        with open(token[1:], "r", encoding="ascii") as fh:
-            text = fh.read()
-    else:
+    if token != "-" and not token.startswith("@"):
         return parse_graph6(token)
+    text = _read_text(token if token == "-" else token[1:])
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise GraphFormatError("empty input")
     first = lines[0].strip()
     if first.startswith(">>graph6<<"):
         first = first[len(">>graph6<<"):]
-    parts = first.split()
-    if len(parts) == 2 and all(p.isdigit() for p in parts):
+    if _int_pair(first) is not None:
         return parse_edge_list(text)
     return parse_graph6(first)
 
@@ -115,13 +131,36 @@ def _parse_f(args, g: Graph):
     raise PreconditionError("give a list size via --f or --uniform")
 
 
-def _budget(vertices=None, edges=None, states=None, exceeded=False):
+def _budget(max_vertices=None, max_edges=None, max_states=None, exceeded=False):
     return {
-        "max_vertices": vertices,
-        "max_edges": edges,
-        "max_states": states,
+        "max_vertices": max_vertices,
+        "max_edges": max_edges,
+        "max_states": max_states,
         "exceeded": exceeded,
     }
+
+
+def _certificate(cert) -> dict:
+    return {
+        "arcs": [list(a) for a in cert.orientation.arcs],
+        "ee": cert.ee,
+        "eo": cert.eo,
+    }
+
+
+# criticality notion -> (decider, budget keyword, default budget)
+_CRITICAL = {
+    "chromatic": (is_k_critical, "max_vertices", CHI_MAX_VERTICES),
+    "list": (is_k_list_critical, "max_vertices", CHOOSE_MAX_VERTICES),
+    "at": (is_k_AT_critical, "max_edges", AT_MAX_EDGES),
+}
+
+
+def _critical_decider(args):
+    """The decider for args.notion, and its budget as keyword arguments."""
+    decide, key, default = _CRITICAL[args.notion]
+    value = getattr(args, key)
+    return decide, {key: default if value is None else value}
 
 
 # ---------------------------------------------------------------------------
@@ -185,35 +224,13 @@ def _cmd_bounds(args):
     return {"rows": rows}, 0, "Table 1", {"k": ks}, _budget()
 
 
-def _tree_checks(g: Graph, k: int):
-    """The four per-tree bounds; returns the names of any that fail."""
-    n, m2 = g.n, 2 * g.m
-    q = q_value(g, k)
-    failures = []
-    if not m2 < (Fraction(k - 2) + Fraction(2, k - 1)) * n:
-        failures.append("basic-strict")
-    if not m2 <= (Fraction(k - 2) + Fraction(2, k - 1)) * n - 2:
-        failures.append("refined-minus-2")
-    has_clique = contains_clique(g, k - 1)[0]
-    if has_clique:
-        if not m2 <= tree_bound_rhs(preset_params(k, "smallP"), n, q):
-            failures.append("with-clique")
-    else:
-        from .bounds import BoundParams
-
-        bp = BoundParams(k=k, p=Fraction(3, k - 2), f=Fraction(-3), h=Fraction(0))
-        if not m2 <= tree_bound_rhs(bp, n, 0):
-            failures.append("without-clique")
-    return failures
-
-
 def _cmd_verify_trees(args):
     k = args.k
     checked = 0
     violations = []
     for g in enumerate_gallai_trees(k, args.n_max):
         checked += 1
-        failures = _tree_checks(g, k)
+        failures = tree_bound_failures(g, k)
         if failures:
             violations.append({"graph": write_graph6(g), "failed": failures})
     verdicts = {
@@ -254,7 +271,7 @@ def _cmd_construct(args):
 def _cmd_at(args):
     g = _read_graph(args.graph)
     inputs = {"graph": write_graph6(g)}
-    budget = _budget(edges=args.max_edges)
+    budget = _budget(max_edges=args.max_edges)
     if args.number:
         value = at_number(g, max_edges=args.max_edges)
         return {"at_number": value}, 0, "Alon-Tarsi orientations", inputs, budget
@@ -263,11 +280,7 @@ def _cmd_at(args):
     cert = is_f_AT(g, f, max_edges=args.max_edges)
     verdicts = {"f_at": cert is not None}
     if cert is not None:
-        verdicts["certificate"] = {
-            "arcs": [list(a) for a in cert.orientation.arcs],
-            "ee": cert.ee,
-            "eo": cert.eo,
-        }
+        verdicts["certificate"] = _certificate(cert)
     code = 0 if cert is not None else 1
     return verdicts, code, "Alon-Tarsi orientations", inputs, budget
 
@@ -282,7 +295,7 @@ def _cmd_choose(args):
             str(v): sorted(colors) for v, colors in witness.items()
         }
     inputs = {"graph": write_graph6(g), "f": f}
-    budget = _budget(vertices=args.max_vertices)
+    budget = _budget(max_vertices=args.max_vertices)
     return verdicts, 0 if ok else 1, "list coloring", inputs, budget
 
 
@@ -291,7 +304,7 @@ def _cmd_paint(args):
     f = _parse_f(args, g)
     ok = is_f_paintable(g, f, max_vertices=args.max_vertices)
     inputs = {"graph": write_graph6(g), "f": f}
-    budget = _budget(vertices=args.max_vertices)
+    budget = _budget(max_vertices=args.max_vertices)
     return {"f_paintable": ok}, 0 if ok else 1, "online list coloring", inputs, budget
 
 
@@ -299,27 +312,16 @@ def _cmd_chi(args):
     g = _read_graph(args.graph)
     value = chromatic_number(g, max_vertices=args.max_vertices)
     inputs = {"graph": write_graph6(g)}
-    budget = _budget(vertices=args.max_vertices)
+    budget = _budget(max_vertices=args.max_vertices)
     return {"chromatic_number": value}, 0, "chromatic number", inputs, budget
 
 
 def _cmd_critical(args):
     g = _read_graph(args.graph)
-    k, notion = args.k, args.notion
-    if notion == "chromatic":
-        mv = args.max_vertices if args.max_vertices is not None else 16
-        ok = is_k_critical(g, k, max_vertices=mv)
-        budget = _budget(vertices=mv)
-    elif notion == "list":
-        mv = args.max_vertices if args.max_vertices is not None else 10
-        ok = is_k_list_critical(g, k, max_vertices=mv)
-        budget = _budget(vertices=mv)
-    else:
-        me = args.max_edges if args.max_edges is not None else 20
-        ok = is_k_AT_critical(g, k, max_edges=me)
-        budget = _budget(edges=me)
-    inputs = {"graph": write_graph6(g), "k": k, "notion": notion}
-    return {"critical": ok}, 0 if ok else 1, "criticality notions", inputs, budget
+    decide, limit = _critical_decider(args)
+    ok = decide(g, args.k, **limit)
+    inputs = {"graph": write_graph6(g), "k": args.k, "notion": args.notion}
+    return {"critical": ok}, 0 if ok else 1, "criticality notions", inputs, _budget(**limit)
 
 
 def _ledger_verdicts(g, ledger, target):
@@ -410,7 +412,7 @@ def _cmd_reduce_check(args):
     g = _read_graph(args.graph)
     k = args.k
     inputs = {"graph": write_graph6(g), "k": k}
-    budget = _budget(edges=args.max_edges, states=args.max_states)
+    budget = _budget(max_edges=args.max_edges, max_states=args.max_states)
     if args.x is not None:
         inputs["x"] = args.x
         report = check_lemma51(g, args.x, k, max_edges=args.max_edges)
@@ -442,11 +444,7 @@ def _cmd_reduce_check(args):
     if report.witness_vertices is not None:
         verdicts["witness_vertices"] = list(report.witness_vertices)
     if report.certificate is not None:
-        verdicts["certificate"] = {
-            "arcs": [list(a) for a in report.certificate.orientation.arcs],
-            "ee": report.certificate.ee,
-            "eo": report.certificate.eo,
-        }
+        verdicts["certificate"] = _certificate(report.certificate)
     if report.status == "verified":
         code = 0
     elif report.status == "not verified: budget":
@@ -457,23 +455,11 @@ def _cmd_reduce_check(args):
     return verdicts, code, anchor, inputs, budget
 
 
-def _is_critical_for(g, k, notion, max_vertices, max_edges):
-    if notion == "chromatic":
-        return is_k_critical(g, k, max_vertices=max_vertices)
-    if notion == "list":
-        return is_k_list_critical(g, k, max_vertices=max_vertices)
-    return is_k_AT_critical(g, k, max_edges=max_edges)
-
-
 def _cmd_census(args):
     k, notion = args.k, args.notion
-    if args.stream == "-":
-        text = sys.stdin.read()
-        source = "stdin"
-    else:
-        with open(args.stream, "r", encoding="ascii") as fh:
-            text = fh.read()
-        source = args.stream
+    decide, limit = _critical_decider(args)
+    text = _read_text(args.stream)
+    source = "stdin" if args.stream == "-" else args.stream
     rows = {}
     errors = []
     skipped = 0
@@ -495,7 +481,7 @@ def _cmd_census(args):
         )
         row["graphs"] += 1
         try:
-            ok = _is_critical_for(g, k, notion, args.max_vertices, args.max_edges)
+            ok = decide(g, k, **limit)
         except BudgetExceeded:
             row["skipped"] += 1
             skipped += 1
@@ -528,7 +514,7 @@ def _cmd_census(args):
     else:
         code = 0
     inputs = {"stream": source, "k": k, "notion": notion}
-    budget = _budget(vertices=args.max_vertices, edges=args.max_edges, exceeded=bool(skipped))
+    budget = _budget(**limit, exceeded=bool(skipped))
     return verdicts, code, "size of critical graphs", inputs, budget
 
 
@@ -565,30 +551,34 @@ def _build_parser() -> _Parser:
     p.add_argument("--f", help="comma separated list sizes")
     p.add_argument("--uniform", type=int)
     p.add_argument("--number", action="store_true", help="compute the least uniform bound")
-    p.add_argument("--max-edges", type=int, default=20)
+    p.add_argument("--max-edges", type=int, default=AT_MAX_EDGES)
 
     p = add("choose", _cmd_choose, "list-colorability decision")
     p.add_argument("graph")
     p.add_argument("--f")
     p.add_argument("--uniform", type=int)
-    p.add_argument("--max-vertices", type=int, default=10)
+    p.add_argument("--max-vertices", type=int, default=CHOOSE_MAX_VERTICES)
 
     p = add("paint", _cmd_paint, "painting game decision")
     p.add_argument("graph")
     p.add_argument("--f")
     p.add_argument("--uniform", type=int)
-    p.add_argument("--max-vertices", type=int, default=8)
+    p.add_argument("--max-vertices", type=int, default=PAINT_MAX_VERTICES)
 
     p = add("chi", _cmd_chi, "chromatic number")
     p.add_argument("graph")
-    p.add_argument("--max-vertices", type=int, default=16)
+    p.add_argument("--max-vertices", type=int, default=CHI_MAX_VERTICES)
+
+    def add_notion(p):
+        # an unset budget takes the notion's default from _CRITICAL
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--notion", choices=tuple(_CRITICAL), default="chromatic")
+        p.add_argument("--max-vertices", type=int, default=None)
+        p.add_argument("--max-edges", type=int, default=None)
 
     p = add("critical", _cmd_critical, "criticality decision")
     p.add_argument("graph")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--notion", choices=("chromatic", "list", "at"), default="chromatic")
-    p.add_argument("--max-vertices", type=int, default=None)
-    p.add_argument("--max-edges", type=int, default=None)
+    add_notion(p)
 
     p = add("discharge", _cmd_discharge, "run a discharging procedure with a full ledger")
     p.add_argument("graph")
@@ -606,15 +596,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--x", type=int, default=None, help="single marked vertex")
     p.add_argument("--y", help="comma separated marked vertex set")
     p.add_argument("--variant", choices=("auto", "symmetric", "lopsided"), default="auto")
-    p.add_argument("--max-edges", type=int, default=20)
-    p.add_argument("--max-states", type=int, default=5000)
+    p.add_argument("--max-edges", type=int, default=AT_MAX_EDGES)
+    p.add_argument("--max-states", type=int, default=MAX_EXPLORED)
 
     p = add("census", _cmd_census, "scan a graph6 stream for critical graphs")
     p.add_argument("stream", help="file of graph6 records, or - for stdin")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--notion", choices=("chromatic", "list", "at"), default="chromatic")
-    p.add_argument("--max-vertices", type=int, default=16)
-    p.add_argument("--max-edges", type=int, default=20)
+    add_notion(p)
 
     return parser
 

@@ -8,9 +8,15 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, PreconditionError
-from .graph import Graph, _mask_bits
+from .graph import Graph, _component_masks, _independent_subsets, _mask_bits
 
 FVector = Sequence[int]
+
+# Default budgets of the deciders below; the CLI uses the same values.
+CHI_MAX_VERTICES = 16
+CHOOSE_MAX_VERTICES = 10
+PAINT_MAX_VERTICES = 8
+AT_MAX_EDGES = 20
 
 
 def _check_f(g: Graph, f: FVector) -> tuple[int, ...]:
@@ -71,7 +77,7 @@ def _colorable(g: Graph, k: int) -> bool:
     return bt(0, 0)
 
 
-def chromatic_number(g: Graph, max_vertices: int = 16) -> int:
+def chromatic_number(g: Graph, max_vertices: int = CHI_MAX_VERTICES) -> int:
     if g.n > max_vertices:
         raise BudgetExceeded("chromatic_number limited to %d vertices" % max_vertices)
     if g.n == 0:
@@ -112,16 +118,6 @@ def chromatic_number(g: Graph, max_vertices: int = 16) -> int:
 # colors at all, so such a witness restricts to one on G - v).
 
 
-def _independent_subsets(g: Graph, cmask: int):
-    subs = [0]
-    verts = list(_mask_bits(cmask))
-    for v in verts:
-        bit = 1 << v
-        avoid = g.adj_mask(v)
-        subs += [s | bit for s in subs if s & avoid == 0]
-    return subs
-
-
 def _eliminable(g: Graph, umask: int, r: Sequence[int]) -> bool:
     # repeatedly discard a vertex whose remaining demand beats its degree in U;
     # if U empties, any completion of the partial assignment is colorable
@@ -129,7 +125,7 @@ def _eliminable(g: Graph, umask: int, r: Sequence[int]) -> bool:
     while umask and changed:
         changed = False
         for v in _mask_bits(umask):
-            if r[v] >= bin(g.adj_mask(v) & umask).count("1") + 1:
+            if r[v] >= (g.adj_mask(v) & umask).bit_count() + 1:
                 umask &= ~(1 << v)
                 changed = True
     return umask == 0
@@ -160,32 +156,27 @@ def _search_classes(g: Graph, mask: int, f: tuple[int, ...]):
     r = [f[v] if mask >> v & 1 else 0 for v in range(g.n)]
 
     def dfs(reached: frozenset, classes: list, prev: tuple):
-        demand = mask
-        pivot = -1
+        active = 0
         for v in _mask_bits(mask):
             if r[v] > 0:
-                pivot = v
-                break
-        if pivot < 0:
+                active |= 1 << v
+        if not active:
             if mask in reached:
                 return None
             return list(classes)
         if any(_eliminable(g, mask & ~m, r) for m in reached):
             return None
-        active = 0
-        for v in _mask_bits(mask):
-            if r[v] > 0:
-                active |= 1 << v
+        pivot = (active & -active).bit_length() - 1
         cands = [c for c in _connected_supersets(g, pivot, active)
-                 if bin(c).count("1") >= 2]
-        cands.sort(key=lambda c: (-bin(c).count("1"), c))
+                 if c.bit_count() >= 2]
+        cands.sort(key=lambda c: (-c.bit_count(), c))
         for c in cands:
             if prev[0] == pivot and c < prev[1]:
                 continue
             for v in _mask_bits(c):
                 r[v] -= 1
             grown = reached.union(m | s for m in reached
-                                  for s in _independent_subsets(g, c))
+                                  for s in _independent_subsets(g._adj, c))
             res = dfs(grown, classes + [c], (pivot, c))
             if res is not None:
                 return res
@@ -217,19 +208,7 @@ def _not_choosable(g: Graph, f: tuple[int, ...], mask: int, memo: dict):
             memo[mask] = result
             return result
 
-    comps = []
-    todo = mask
-    while todo:
-        v = (todo & -todo).bit_length() - 1
-        comp, frontier = 0, 1 << v
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            for u in _mask_bits(frontier):
-                nxt |= g.adj_mask(u) & mask & ~comp
-            frontier = nxt
-        comps.append(comp)
-        todo &= ~comp
+    comps = _component_masks(g._adj, mask)
     if len(comps) > 1:
         for comp in comps:
             sub = _not_choosable(g, f, comp, memo)
@@ -242,7 +221,7 @@ def _not_choosable(g: Graph, f: tuple[int, ...], mask: int, memo: dict):
         memo[mask] = None
         return None
 
-    if all(f[v] >= bin(g.adj_mask(v) & mask).count("1") + 1 for v in _mask_bits(mask)):
+    if all(f[v] >= (g.adj_mask(v) & mask).bit_count() + 1 for v in _mask_bits(mask)):
         memo[mask] = None
         return None
 
@@ -265,7 +244,7 @@ def _not_choosable(g: Graph, f: tuple[int, ...], mask: int, memo: dict):
 
 
 def is_f_choosable(
-    g: Graph, f: FVector, max_vertices: int = 10
+    g: Graph, f: FVector, max_vertices: int = CHOOSE_MAX_VERTICES
 ) -> tuple[bool, Optional[dict[int, tuple[int, ...]]]]:
     """Decide whether every assignment of color lists of sizes f admits a
     proper coloring.  On failure the second item is a bad assignment, mapping
@@ -283,37 +262,15 @@ def is_f_choosable(
 # paintability
 
 
-def is_f_paintable(g: Graph, f: FVector, max_vertices: int = 8) -> bool:
+def is_f_paintable(g: Graph, f: FVector, max_vertices: int = PAINT_MAX_VERTICES) -> bool:
     """Decide the paint game: Lister picks S, Painter keeps an independent
     I subseteq S, everyone else in S burns a token.  Painter wins when the
     graph empties before any vertex runs dry."""
     f = _check_f(g, f)
     if g.n > max_vertices:
         raise BudgetExceeded("is_f_paintable limited to %d vertices" % max_vertices)
-    adj = [g.adj_mask(v) for v in range(g.n)]
+    adj = g._adj
     memo: dict[tuple[int, tuple[int, ...]], bool] = {}
-
-    def comps_of(mask: int) -> list[int]:
-        out, todo = [], mask
-        while todo:
-            v = (todo & -todo).bit_length() - 1
-            comp, frontier = 0, 1 << v
-            while frontier:
-                comp |= frontier
-                nxt = 0
-                for u in _mask_bits(frontier):
-                    nxt |= adj[u] & mask & ~comp
-                frontier = nxt
-            out.append(comp)
-            todo &= ~comp
-        return out
-
-    def independent_in(smask: int) -> list[int]:
-        subs = [0]
-        for v in _mask_bits(smask):
-            bit = 1 << v
-            subs += [s | bit for s in subs if s & adj[v] == 0]
-        return subs
 
     def win(mask: int, tok: tuple[int, ...]) -> bool:
         if mask == 0:
@@ -321,22 +278,27 @@ def is_f_paintable(g: Graph, f: FVector, max_vertices: int = 8) -> bool:
         for v in _mask_bits(mask):
             if tok[v] <= 0:
                 return False
-        if all(tok[v] >= bin(adj[v] & mask).count("1") + 1 for v in _mask_bits(mask)):
+        if all(tok[v] >= (adj[v] & mask).bit_count() + 1 for v in _mask_bits(mask)):
             return True
         key = (mask, tok)
         if key in memo:
             return memo[key]
-        comps = comps_of(mask)
+        comps = _component_masks(adj, mask)
         if len(comps) > 1:
             res = all(win(c, tok) for c in comps)
             memo[key] = res
             return res
-        sets = [s for s in range(1, 1 << g.n) if s & mask == s and s]
-        sets.sort(key=lambda s: -bin(s).count("1"))
+        # Lister's moves: the nonempty submasks of mask, largest first
+        sets = []
+        s = mask
+        while s:
+            sets.append(s)
+            s = (s - 1) & mask
+        sets.sort(key=lambda s: (-s.bit_count(), s))
         res = True
         for s in sets:
             answered = False
-            for i in sorted(independent_in(s), key=lambda x: -bin(x).count("1")):
+            for i in sorted(_independent_subsets(adj, s), key=lambda x: -x.bit_count()):
                 ntok = list(tok)
                 for v in _mask_bits(s & ~i):
                     ntok[v] -= 1
@@ -451,7 +413,7 @@ class ATCertificate:
     eo: int
 
 
-def is_f_AT(g: Graph, f: FVector, max_edges: int = 20) -> Optional[ATCertificate]:
+def is_f_AT(g: Graph, f: FVector, max_edges: int = AT_MAX_EDGES) -> Optional[ATCertificate]:
     """Search for an orientation with d+(v) <= f(v)-1 and EE != EO.  Edges are
     branched in lexicographic order, so the returned certificate is the first
     such orientation in that order; None means a completed exhaustive search."""
@@ -493,7 +455,7 @@ def is_f_AT(g: Graph, f: FVector, max_edges: int = 20) -> Optional[ATCertificate
     return dfs(0, sum(caps))
 
 
-def at_number(g: Graph, max_edges: int = 20) -> int:
+def at_number(g: Graph, max_edges: int = AT_MAX_EDGES) -> int:
     """Least k such that the constant vector f = k is f-AT.  Bounded above by
     max degree + 1, where an acyclic orientation always certifies."""
     if g.m > max_edges:
@@ -521,8 +483,8 @@ class ChainReport:
 def implication_chain(
     g: Graph,
     f: FVector,
-    max_vertices: int = 8,
-    max_edges: int = 20,
+    max_vertices: int = PAINT_MAX_VERTICES,
+    max_edges: int = AT_MAX_EDGES,
 ) -> ChainReport:
     """Evaluate all three deciders on the same input.  AT implies paintable
     implies choosable; a report with consistent == False is a correctness bug
@@ -545,7 +507,7 @@ def _no_isolated(g: Graph) -> bool:
     return g.n == 1 or all(g.degree(v) > 0 for v in range(g.n))
 
 
-def is_k_critical(g: Graph, k: int, max_vertices: int = 16) -> bool:
+def is_k_critical(g: Graph, k: int, max_vertices: int = CHI_MAX_VERTICES) -> bool:
     if g.n == 0:
         return False
     if chromatic_number(g, max_vertices) != k:
@@ -557,7 +519,7 @@ def is_k_critical(g: Graph, k: int, max_vertices: int = 16) -> bool:
     )
 
 
-def is_k_list_critical(g: Graph, k: int, max_vertices: int = 10) -> bool:
+def is_k_list_critical(g: Graph, k: int, max_vertices: int = CHOOSE_MAX_VERTICES) -> bool:
     if g.n == 0:
         return False
     lists = [k - 1] * g.n
@@ -571,7 +533,7 @@ def is_k_list_critical(g: Graph, k: int, max_vertices: int = 10) -> bool:
     )
 
 
-def is_k_AT_critical(g: Graph, k: int, max_edges: int = 20) -> bool:
+def is_k_AT_critical(g: Graph, k: int, max_edges: int = AT_MAX_EDGES) -> bool:
     if g.n == 0:
         return False
     if at_number(g, max_edges) != k:

@@ -8,6 +8,7 @@ graph6 I/O implements the short form only, so parsing never yields more than
 
 from __future__ import annotations
 
+import re
 from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
@@ -17,12 +18,43 @@ VertexSet = frozenset  # frozenset[int]
 
 
 def _mask_bits(mask: int) -> Iterator[int]:
-    v = 0
+    """The set bits of mask, lowest first."""
     while mask:
-        if mask & 1:
-            yield v
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _reach(adj, start_mask: int, within_mask: int) -> int:
+    """Vertices reachable from start_mask by paths inside within_mask."""
+    seen = frontier = start_mask
+    while frontier:
+        nxt = 0
+        for v in _mask_bits(frontier):
+            nxt |= adj[v]
+        frontier = nxt & within_mask & ~seen
+        seen |= frontier
+    return seen
+
+
+def _component_masks(adj, mask: int) -> list[int]:
+    """Connected components of the subgraph induced on mask, lowest vertex first."""
+    out = []
+    while mask:
+        comp = _reach(adj, mask & -mask, mask)
+        out.append(comp)
+        mask &= ~comp
+    return out
+
+
+def _independent_subsets(adj, mask: int) -> list[int]:
+    """Independent subsets of mask: [0], then per vertex, ascending, the sets it can join."""
+    subs = [0]
+    for v in _mask_bits(mask):
+        bit = 1 << v
+        avoid = adj[v]
+        subs += [s | bit for s in subs if s & avoid == 0]
+    return subs
 
 
 class Graph:
@@ -70,13 +102,8 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for v in range(self.n):
-            rest = self._adj[v] >> (v + 1)
-            u = v + 1
-            while rest:
-                if rest & 1:
-                    yield (v, u)
-                rest >>= 1
-                u += 1
+            for u in _mask_bits(self._adj[v] >> (v + 1) << (v + 1)):
+                yield (v, u)
 
     def vertices(self) -> range:
         return range(self.n)
@@ -95,34 +122,14 @@ class Graph:
         return Graph(self.n, list(self.edges()) + list(extra))
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for v in _mask_bits(frontier):
-                nxt |= self._adj[v]
-            frontier = nxt & ~seen
-            seen |= nxt
-        return seen == (1 << self.n) - 1
+        full = (1 << self.n) - 1
+        return self.n == 0 or _reach(self._adj, 1, full) == full
 
     def components(self) -> list[frozenset]:
-        out = []
-        unseen = (1 << self.n) - 1
-        while unseen:
-            start = (unseen & -unseen).bit_length() - 1
-            comp = 1 << start
-            frontier = comp
-            while frontier:
-                nxt = 0
-                for v in _mask_bits(frontier):
-                    nxt |= self._adj[v]
-                frontier = nxt & ~comp
-                comp |= nxt
-            out.append(frozenset(_mask_bits(comp)))
-            unseen &= ~comp
-        return out
+        return [
+            frozenset(_mask_bits(c))
+            for c in _component_masks(self._adj, (1 << self.n) - 1)
+        ]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self._adj == other._adj
@@ -170,7 +177,10 @@ def parse_graph6(text: str) -> Graph:
     record = text.rstrip("\n")
     if not record:
         raise GraphFormatError("empty graph6 record")
-    data = record.encode("ascii", errors="replace")
+    try:
+        data = record.encode("ascii")
+    except UnicodeEncodeError as e:
+        raise GraphFormatError(f"non-ASCII character at byte offset {e.start}") from None
     first = data[0]
     if first == 126:
         raise GraphFormatError("long-form graph6 (leading '~') unsupported at byte offset 0")
@@ -230,6 +240,19 @@ def write_graph6(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 # edge-list text format: first line "n m", then m lines "u v"
 
+_INT_TOKEN = re.compile(r"-?[0-9]+")
+
+
+def _int_pair(line: str) -> Optional[tuple[int, int]]:
+    """The two integers of a line holding exactly two ASCII integer tokens, else None."""
+    parts = line.split()
+    if len(parts) != 2 or not all(_INT_TOKEN.fullmatch(p) for p in parts):
+        return None
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError:  # longer than int() accepts
+        return None
+
 
 def parse_edge_list(text: str) -> Graph:
     lines = text.splitlines()
@@ -238,10 +261,10 @@ def parse_edge_list(text: str) -> Graph:
     if not rows:
         raise GraphFormatError("line 1: expected header 'n m'")
     no, header = rows[0]
-    parts = header.split()
-    if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
+    counts = _int_pair(header)
+    if counts is None:
         raise GraphFormatError(f"line {no}: expected header 'n m', got {header!r}")
-    n, m = int(parts[0]), int(parts[1])
+    n, m = counts
     if n < 0 or m < 0:
         raise GraphFormatError(f"line {no}: negative count in header")
     body = rows[1:]
@@ -253,10 +276,10 @@ def parse_edge_list(text: str) -> Graph:
     edges = []
     seen = set()
     for no, ln in body:
-        parts = ln.split()
-        if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
+        pair = _int_pair(ln)
+        if pair is None:
             raise GraphFormatError(f"line {no}: expected edge 'u v', got {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+        u, v = pair
         if u == v:
             raise GraphFormatError(f"line {no}: loop {u} {v}")
         if not (0 <= u < n and 0 <= v < n):

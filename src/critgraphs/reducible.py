@@ -11,10 +11,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Optional, Tuple
 
-from .coloring import ATCertificate, is_f_AT
+from .coloring import AT_MAX_EDGES, ATCertificate, is_f_AT
 from .errors import PreconditionError
 from .graph import Graph, contains_clique, induced_subgraph
-from .structure import build_aux_partition, in_t_k
+from .structure import AuxiliaryBipartite, build_aux_partition, in_t_k
+
+# Default cap on the induced subgraphs _search_induced looks at.
+MAX_EXPLORED = 5000
 
 
 @dataclass(frozen=True)
@@ -30,32 +33,36 @@ class ReducibilityReport:
         return all(self.hypotheses.values())
 
 
-def _components_in_t_k(g: Graph, comps, k: int) -> bool:
-    for comp in comps:
-        sub, _ = induced_subgraph(g, sorted(comp))
-        if not in_t_k(sub, k):
-            return False
-    return True
+def _common_hypotheses(g: Graph, marked, k: int) -> tuple[AuxiliaryBipartite, Dict[str, bool]]:
+    """The auxiliary partition around the marked vertices, and the hypotheses
+    that Lemmas 5.1-5.3 share."""
+    marked = set(marked)
+    aux = build_aux_partition(g, marked, k)
+    hyps = {
+        "no_Kk": not contains_clique(g, k)[0],
+        "parts_in_Tk": all(
+            in_t_k(induced_subgraph(g, comp)[0], k) for comp in aux.tree_components
+        ),
+        "outside_degree_cap": all(
+            g.degree(v) <= k - 1 for v in range(g.n) if v not in marked
+        ),
+    }
+    return aux, hyps
 
 
-def check_lemma51(g: Graph, x: int, k: int, max_edges: int = 20) -> ReducibilityReport:
+def check_lemma51(
+    g: Graph, x: int, k: int, max_edges: int = AT_MAX_EDGES
+) -> ReducibilityReport:
     """Single marked vertex x.  When the five hypotheses hold, g itself must
     admit an orientation certificate for f(x) = d(x)-1, f(v) = d(v) elsewhere."""
     if k < 5:
         raise PreconditionError("k must be at least 5", witness=k)
     if not 0 <= x < g.n:
         raise PreconditionError("x is not a vertex", witness=x)
-    aux = build_aux_partition(g, [x], k)
+    aux, hyps = _common_hypotheses(g, [x], k)
     t = len(aux.tree_components)
-    hyps = {
-        "no_Kk": not contains_clique(g, k)[0],
-        "parts_in_Tk": _components_in_t_k(g, aux.tree_components, k),
-        "outside_degree_cap": all(
-            g.degree(v) <= k - 1 for v in range(g.n) if v != x
-        ),
-        "w_hit_every_part": aux.y_degree(x) == t,
-        "x_degree": g.degree(x) >= t + 2,
-    }
+    hyps["w_hit_every_part"] = aux.y_degree(x) == t
+    hyps["x_degree"] = g.degree(x) >= t + 2
     if not all(hyps.values()):
         return ReducibilityReport(hyps, None, None, "hypotheses failed")
     if g.m > max_edges:
@@ -119,17 +126,11 @@ def _check_multi(g, y_vertices, k, y_min, tree_min, max_edges, max_explored, max
     for y in ys:
         if not 0 <= y < g.n:
             raise PreconditionError("marked set contains a non-vertex", witness=y)
-    aux = build_aux_partition(g, ys, k)
+    aux, hyps = _common_hypotheses(g, ys, k)
     nt = len(aux.tree_components)
-    hyps = {
-        "no_Kk": not contains_clique(g, k)[0],
-        "parts_in_Tk": _components_in_t_k(g, aux.tree_components, k),
-        "outside_degree_cap": all(
-            g.degree(v) <= k - 1 for v in range(g.n) if v not in set(ys)
-        ),
-        "aux_degrees": all(aux.y_degree(y) >= y_min for y in ys)
-        and all(aux.tree_degree(i) >= tree_min for i in range(nt)),
-    }
+    hyps["aux_degrees"] = all(aux.y_degree(y) >= y_min for y in ys) and all(
+        aux.tree_degree(i) >= tree_min for i in range(nt)
+    )
     if not all(hyps.values()):
         return ReducibilityReport(hyps, None, None, "hypotheses failed")
     f_at, cert, keep, status = _search_induced(
@@ -142,8 +143,8 @@ def check_lemma52(
     g: Graph,
     y_vertices,
     k: int,
-    max_edges: int = 20,
-    max_explored: int = 5000,
+    max_edges: int = AT_MAX_EDGES,
+    max_explored: int = MAX_EXPLORED,
     max_attempts: int = 25,
 ) -> ReducibilityReport:
     """Marked vertex set Y, both sides of the auxiliary graph of degree >= 3.
@@ -157,8 +158,8 @@ def check_lemma53(
     g: Graph,
     y_vertices,
     k: int,
-    max_edges: int = 20,
-    max_explored: int = 5000,
+    max_edges: int = AT_MAX_EDGES,
+    max_explored: int = MAX_EXPLORED,
     max_attempts: int = 25,
 ) -> ReducibilityReport:
     """Lopsided variant: marked vertices need auxiliary degree >= 4 but tree

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Literal, Optional
 
 from .errors import PreconditionError
-from .graph import Graph, clique_vertices, induced_subgraph
+from .graph import Graph, _component_masks, _mask_bits, clique_vertices, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -174,17 +174,19 @@ class LowHighSplit:
         return bool(self.sub_vertices)
 
 
+def _components_within(g: Graph, vertices) -> tuple[frozenset, ...]:
+    """Components of the subgraph induced on vertices, lowest vertex first."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return tuple(frozenset(_mask_bits(c)) for c in _component_masks(g._adj, mask))
+
+
 def low_high_split(g: Graph, k: int) -> LowHighSplit:
     low = [v for v in range(g.n) if g.degree(v) == k - 1]
-    sub, relabel = induced_subgraph(g, low)
-    inv = {i: v for v, i in relabel.items()}
-    comps = sorted(
-        (frozenset(inv[i] for i in comp) for comp in sub.components()),
-        key=min,
-    )
     return LowHighSplit(
         k=k,
-        l_components=tuple(comps),
+        l_components=_components_within(g, low),
         h_vertices=frozenset(v for v in range(g.n) if g.degree(v) == k),
         higher_vertices=frozenset(v for v in range(g.n) if g.degree(v) >= k + 1),
         sub_vertices=frozenset(v for v in range(g.n) if g.degree(v) < k - 1),
@@ -228,12 +230,10 @@ def build_aux_partition(
         tree_pool = [v for v in range(g.n) if v not in set(ys)]
     else:
         tree_pool = sorted(set(tree_vertices))
-    sub, relabel = induced_subgraph(g, tree_pool)
-    inv = {i: v for v, i in relabel.items()}
-    comps = sorted(
-        (frozenset(inv[i] for i in comp) for comp in sub.components()),
-        key=min,
-    )
+        for v in tree_pool:
+            if not 0 <= v < g.n:
+                raise ValueError(f"vertex {v} out of range")
+    comps = _components_within(g, tree_pool)
     w_sets = tuple(_component_w_set(g, comp, k) for comp in comps)
     edges = set()
     for y in ys:
@@ -243,7 +243,7 @@ def build_aux_partition(
                 edges.add((y, i))
     return AuxiliaryBipartite(
         k=k,
-        tree_components=tuple(comps),
+        tree_components=comps,
         w_sets=w_sets,
         y_vertices=tuple(ys),
         edges=frozenset(edges),

@@ -39,10 +39,10 @@ from critgraphs import (
     run_main_discharge,
     sponsorship_stats,
     table1,
+    tree_bound_failures,
     tree_bound_rhs,
     tree_charge_audit,
 )
-from critgraphs.cli import _tree_checks
 from critgraphs.coloring import Orientation, ee_eo, ee_eo_poly
 from critgraphs.generators import reference_chain_5_2, reference_chain_5_3
 from critgraphs.discharge import _RECEIVE_RULES
@@ -74,7 +74,7 @@ def test_criterion_2_tree_bound_sweep():
     for k, n_max in ((5, 9), (6, 9), (7, 8)):
         checked = 0
         for g in enumerate_gallai_trees(k, n_max):
-            assert _tree_checks(g, k) == [], (k, g)
+            assert tree_bound_failures(g, k) == [], (k, g)
             checked += 1
         counts[k] = checked
     assert counts == {5: 468, 6: 679, 7: 272}

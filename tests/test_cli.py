@@ -6,9 +6,12 @@ import os
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import critgraphs
 from conftest import build_charge_instance, stalled_aux_instance
@@ -75,6 +78,69 @@ def test_exit_3_on_missing_list_size(capsys):
 def test_exit_3_on_missing_file(capsys):
     code, doc = run(capsys, "analyze", "@/no/such/file", "--k", "5")
     assert code == 3
+
+
+def test_exit_3_on_non_ascii_graph6(capsys):
+    code, doc = run(capsys, "chi", "B\u00e9")
+    assert code == 3
+    assert doc["exit"] == 3 and "byte offset 1" in doc["error"]
+
+
+@pytest.mark.parametrize("where", ["file", "stdin", "census"])
+def test_exit_3_on_undecodable_bytes(capsys, monkeypatch, tmp_path, where):
+    data = b"2 1\n0 1\xe9\n"
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    argv = {
+        "file": ["chi", "@%s" % path],
+        "stdin": ["chi", "-"],
+        "census": ["census", str(path), "--k", "4"],
+    }[where]
+    code, doc = run(capsys, *argv)
+    assert code == 3
+    assert "0xe9 at byte offset 7" in doc["error"]
+
+
+@pytest.mark.parametrize("token", ["--2", "\u00b2"])
+def test_exit_3_on_bad_edge_list_token(capsys, monkeypatch, token):
+    # stdin arrives decoded, so non-ASCII digits reach the edge-list parser
+    monkeypatch.setattr(sys, "stdin", io.StringIO("3 1\n0 %s\n" % token))
+    code, doc = run(capsys, "chi", "-")
+    assert code == 3
+    assert "line 2" in doc["error"]
+
+
+def _main_output(argv):
+    """Exit code and stdout of main(argv), with an empty stdin."""
+    out = io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO("")
+    try:
+        with redirect_stdout(out):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text())
+def test_chi_any_token_prints_one_document(token):
+    # "--" makes argparse pass every token, even "-x", on to the graph reader
+    code, out = _main_output(["chi", "--", token])
+    assert code in (0, 1, 2, 3)
+    assert json.loads(out)["command"] == "chi"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary())
+def test_chi_any_file_bytes_prints_one_document(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz-graph"
+    path.write_bytes(data)
+    code, out = _main_output(["chi", "@%s" % path])
+    assert code in (0, 1, 2, 3)
+    assert json.loads(out)["command"] == "chi"
 
 
 # input forms
@@ -303,6 +369,18 @@ def test_census_budget_skips(capsys, tmp_path):
     assert code == 2
     assert doc["verdicts"]["skipped"] == 1
     assert doc["budget"]["exceeded"] is True
+
+
+@pytest.mark.parametrize(
+    "notion,budget", [("list", (10, None)), ("at", (None, 20)), ("chromatic", (16, None))]
+)
+def test_census_reports_the_budget_it_applied(capsys, monkeypatch, notion, budget):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(g6(Graph.complete(4)) + "\n"))
+    code, doc = run(capsys, "census", "-", "--k", "4", "--notion", notion)
+    assert code == 0
+    assert (doc["budget"]["max_vertices"], doc["budget"]["max_edges"]) == budget
+    _, crit = run(capsys, "critical", g6(Graph.complete(4)), "--k", "4", "--notion", notion)
+    assert crit["budget"] == doc["budget"]
 
 
 def test_census_clean_exit(capsys, monkeypatch):

@@ -20,6 +20,7 @@ from critgraphs import (
     write_edge_list,
     write_graph6,
 )
+from critgraphs.graph import _component_masks
 
 
 def all_graphs(n):
@@ -75,6 +76,21 @@ def test_components_split():
     assert not g.is_connected()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 9), st.data())
+def test_component_masks_match_networkx(n, data):
+    pairs = list(combinations(range(n), 2))
+    g = Graph(n, data.draw(st.sets(st.sampled_from(pairs))) if pairs else ())
+    mask = data.draw(st.integers(0, (1 << n) - 1))
+    inside = [v for v in range(n) if mask >> v & 1]
+    want = sorted(
+        (sorted(c) for c in nx.connected_components(graph_to_nx(g).subgraph(inside))),
+        key=min,
+    )
+    got = [[v for v in range(n) if c >> v & 1] for c in _component_masks(g._adj, mask)]
+    assert got == want
+
+
 # graph6 codec, oracled against networkx
 
 def test_graph6_known_strings():
@@ -110,6 +126,8 @@ def test_graph6_errors_carry_offsets():
         parse_graph6("B" + chr(30))
     with pytest.raises(GraphFormatError):
         parse_graph6("B")  # body truncated
+    with pytest.raises(GraphFormatError, match="non-ASCII character at byte offset 1"):
+        parse_graph6("Bé")  # not read as "B?"
 
 
 def test_graph6_size_limit():
@@ -150,6 +168,10 @@ def test_edge_list_blank_lines_ok():
         ("3 1\n1 1\n", "line 2"),
         ("3 1\n0 9\n", "line 2"),
         ("3 2\n0 1\n0 1\n", "line 3"),
+        ("3 1\n--2 1\n", "line 2"),
+        ("3 1\n0 \u00b2\n", "line 2"),  # superscript two
+        ("2 1\n0 \u0661\n", "line 2"),  # Arabic-Indic one, not vertex 1
+        ("\u0663 0\n", "line 1"),
     ],
 )
 def test_edge_list_errors_carry_line_numbers(text, where):

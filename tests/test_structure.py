@@ -237,6 +237,9 @@ def test_aux_partition_accepts_explicit_sides():
     assert len(aux.tree_components) == 1
     assert aux.component_w(0) == frozenset({0, 1, 2, 4})
     assert aux.y_degree(3) == 1
+    for bad in ([0, 5], [-1, 0]):
+        with pytest.raises(ValueError, match="out of range"):
+            build_aux_partition(g, [3], 5, bad)
 
 
 def synthetic_aux(t, ys, edges):
