@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import PreconditionError
 from .graph import Graph, contains_clique
-from .structure import q_value
+from .structure import REGIMES, q_value, regime
 
 F = Fraction
 
@@ -125,24 +125,31 @@ def check_lemma32(bp: BoundParams) -> CheckReport:
     return CheckReport("lemma32", k >= 4, conds)
 
 
-def check_thm41(bp: BoundParams) -> CheckReport:
+def check_regime(bp: BoundParams, mode: str) -> CheckReport:
+    """Lemma 3.2's conditions plus the two the mode's discharging needs;
+    condition 6 lets a tree miss c gammas."""
     k, p, f, h = bp.k, bp.p, bp.f, bp.h
-    base = check_lemma32(bp).conditions
-    conds = base + (
-        ("6: 2(h+1) + f <= 0", 2 * (h + 1) + f <= 0),
+    c = REGIMES[mode].c
+    c_term = "h + 1" if c == 1 else "%d(h+1)" % c
+    conds = check_lemma32(bp).conditions + (
+        ("6: %s + f <= 0" % c_term, c * (h + 1) + f <= 0),
         ("7: p + (k-5)h <= k+1", p + (k - 5) * h <= k + 1),
     )
-    return CheckReport("thm41", k >= 7, conds)
+    return CheckReport(REGIMES[mode].check, k >= 5 and regime(k) == mode, conds)
+
+
+def check_thm41(bp: BoundParams) -> CheckReport:
+    return check_regime(bp, "symmetric")
 
 
 def check_thm43(bp: BoundParams) -> CheckReport:
-    k, p, f, h = bp.k, bp.p, bp.f, bp.h
-    base = check_lemma32(bp).conditions
-    conds = base + (
-        ("6: h + 1 + f <= 0", h + 1 + f <= 0),
-        ("7: p + (k-5)h <= k+1", p + (k - 5) * h <= k + 1),
-    )
-    return CheckReport("thm43", k in (5, 6), conds)
+    return check_regime(bp, "lopsided")
+
+
+def epsilon(k: int, bp: BoundParams, mode: str) -> Fraction:
+    """1/(k+2+s*h-p): a degree-k vertex that sends eps on its other edges
+    and s gammas of eps*(h+1) keeps the target (k-1) + (2-p)*eps."""
+    return 1 / F(k + 2 + REGIMES[mode].s * bp.h - bp.p)
 
 
 def tree_bound_rhs(bp: BoundParams, n: int, q: int) -> Fraction:
@@ -174,25 +181,20 @@ def tree_bound_failures(g: Graph, k: int) -> list[str]:
 def main_bound(k: int, variant: str, bp: BoundParams) -> Fraction:
     """Average-degree bound implied by a passing parameter triple.
 
-    variant: "thm41" (denominator k+2+3h-p), "thm43" (k+2+4h-p), or "auto"
-    (thm43 for k in {5,6}, thm41 for k >= 7).
+    variant: "thm41" or "thm43" (the regime whose report is named so), or
+    "auto" (the regime applied at k).  The bound is (k-1) + (2-p)*epsilon.
     """
-    if variant == "auto":
-        variant = "thm43" if k in (5, 6) else "thm41"
-    if variant == "thm41":
-        report = check_thm41(bp)
-    elif variant == "thm43":
-        report = check_thm43(bp)
-    else:
+    modes = {r.check: mode for mode, r in REGIMES.items()}
+    if variant != "auto" and variant not in modes:
         raise PreconditionError(f"unknown variant {variant!r}")
+    mode = regime(k, modes.get(variant, "auto"))
+    report = check_regime(bp, mode)
     if not report.passed:
         raise PreconditionError(
             f"{report.name} conditions fail for k={k}: {', '.join(report.failed)}",
             witness=report,
         )
-    p, h = bp.p, bp.h
-    den = (k + 2 + 3 * h - p) if variant == "thm41" else (k + 2 + 4 * h - p)
-    return (k - 1) + (2 - p) / den
+    return (k - 1) + (2 - bp.p) * epsilon(k, bp, mode)
 
 
 # ---------------------------------------------------------------------------

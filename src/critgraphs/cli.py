@@ -51,8 +51,9 @@ from .discharge import (
 from .errors import BudgetExceeded, EliminationFailed, GraphFormatError, PreconditionError
 from .generators import clique_path, enumerate_gallai_trees, extremal_chain
 from .graph import Graph, _int_pair, parse_edge_list, parse_graph6, write_graph6
-from .reducible import MAX_EXPLORED, check_lemma51, check_lemma52, check_lemma53
+from .reducible import MARKED_SET_CHECKS, MAX_EXPLORED, check_lemma51
 from .structure import (
+    REGIMES,
     block_decomposition,
     build_auxiliary,
     eliminate,
@@ -60,6 +61,7 @@ from .structure import (
     is_gallai_tree,
     low_high_split,
     q_value,
+    regime,
     w_k,
 )
 
@@ -115,17 +117,21 @@ def _read_graph(token: str) -> Graph:
     return parse_graph6(first)
 
 
+def _int_list(text: str, name: str) -> list:
+    """The integers of a comma or space separated option value."""
+    entries = text.replace(",", " ").split()
+    try:
+        return [int(e) for e in entries]
+    except ValueError:
+        raise PreconditionError("%s entries must be integers: %r" % (name, text)) from None
+
+
 def _parse_f(args, g: Graph):
     if getattr(args, "f", None):
-        entries = args.f.replace(",", " ").split()
-        if len(entries) != g.n:
-            raise PreconditionError(
-                "f has %d entries for %d vertices" % (len(entries), g.n)
-            )
-        try:
-            return [int(e) for e in entries]
-        except ValueError:
-            raise PreconditionError("f entries must be integers: %r" % args.f)
+        f = _int_list(args.f, "f")
+        if len(f) != g.n:
+            raise PreconditionError("f has %d entries for %d vertices" % (len(f), g.n))
+        return f
     if getattr(args, "uniform", None) is not None:
         return [args.uniform] * g.n
     raise PreconditionError("give a list size via --f or --uniform")
@@ -179,7 +185,7 @@ def _cmd_analyze(args):
     split = low_high_split(g, k)
     aux = build_auxiliary(g, k)
     elim = {}
-    for mode in ("symmetric", "lopsided"):
+    for mode in REGIMES:
         r = eliminate(aux, mode)
         elim[mode] = {
             "succeeded": r.succeeded,
@@ -361,7 +367,7 @@ def _cmd_discharge(args):
         code = 0 if verdicts["meets_target"] else 1
         return verdicts, code, "Theorem 2.1", inputs, _budget()
     params = make_params(k, preset_params(k, args.preset), args.mode)
-    anchor = "Theorem 4.1" if params.mode == "symmetric" else "Theorem 4.3"
+    anchor = REGIMES[params.mode].theorem
     try:
         ledger = run_main_discharge(g, params)
     except EliminationFailed as e:
@@ -420,21 +426,13 @@ def _cmd_reduce_check(args):
     else:
         if not args.y:
             raise PreconditionError("give --x or --y")
-        ys = [int(p) for p in args.y.replace(",", " ").split()]
+        ys = _int_list(args.y, "y")
         inputs["y"] = ys
-        variant = args.variant
-        if variant == "auto":
-            variant = "symmetric" if k >= 7 else "lopsided"
-        if variant == "symmetric":
-            report = check_lemma52(
-                g, ys, k, max_edges=args.max_edges, max_explored=args.max_states
-            )
-            anchor = "Lemma 5.2"
-        else:
-            report = check_lemma53(
-                g, ys, k, max_edges=args.max_edges, max_explored=args.max_states
-            )
-            anchor = "Lemma 5.3"
+        mode = regime(k, args.variant)
+        report = MARKED_SET_CHECKS[mode](
+            g, ys, k, max_edges=args.max_edges, max_explored=args.max_states
+        )
+        anchor = REGIMES[mode].lemma
     verdicts = {
         "hypotheses": report.hypotheses,
         "all_hold": report.all_hold,
@@ -586,7 +584,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--preset", choices=("gallai", "ks", "smallP"), default="smallP")
     p.add_argument(
         "--mode",
-        choices=("auto", "symmetric", "lopsided", "gallai-sec2"),
+        choices=("auto", *REGIMES, "gallai-sec2"),
         default="auto",
     )
 
@@ -595,7 +593,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--x", type=int, default=None, help="single marked vertex")
     p.add_argument("--y", help="comma separated marked vertex set")
-    p.add_argument("--variant", choices=("auto", "symmetric", "lopsided"), default="auto")
+    p.add_argument("--variant", choices=("auto", *REGIMES), default="auto")
     p.add_argument("--max-edges", type=int, default=AT_MAX_EDGES)
     p.add_argument("--max-states", type=int, default=MAX_EXPLORED)
 
@@ -612,11 +610,16 @@ def _emit(doc) -> None:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    # parsed in place, so a usage error still knows a recognised command
+    args = argparse.Namespace(command=None)
     try:
-        args = parser.parse_args(argv)
+        parser.parse_args(argv, args)
     except _UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
+        _emit({"command": args.command, "error": "usage error: %s" % e, "exit": 3})
         return 3
+    except SystemExit as e:  # only -h/--help gets here, after printing the help
+        return e.code
     t0 = time.time()
     command = args.command
     try:

@@ -430,10 +430,7 @@ def is_f_AT(g: Graph, f: FVector, max_edges: int = AT_MAX_EDGES) -> Optional[ATC
     out = [0] * g.n
     arcs: list[tuple[int, int]] = []
 
-    def dfs(i: int, slack: int) -> Optional[ATCertificate]:
-        # slack = total unused out-capacity; every remaining edge spends 1
-        if slack < m - i:
-            return None
+    def dfs(i: int) -> Optional[ATCertificate]:
         if i == m:
             o = Orientation(g, tuple(arcs))
             ee, eo = ee_eo(o)
@@ -445,14 +442,14 @@ def is_f_AT(g: Graph, f: FVector, max_edges: int = AT_MAX_EDGES) -> Optional[ATC
             if out[a] < caps[a]:
                 out[a] += 1
                 arcs.append((a, b))
-                res = dfs(i + 1, slack - 1)
+                res = dfs(i + 1)
                 arcs.pop()
                 out[a] -= 1
                 if res is not None:
                     return res
         return None
 
-    return dfs(0, sum(caps))
+    return dfs(0)
 
 
 def at_number(g: Graph, max_edges: int = AT_MAX_EDGES) -> int:

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .bounds import BoundParams, check_thm41, check_thm43
+from .bounds import BoundParams, check_regime, epsilon
 from .errors import EliminationFailed, PreconditionError
 from .graph import Graph, contains_clique, induced_subgraph
-from .structure import build_auxiliary, eliminate, in_t_k, low_high_split, q_value
+from .structure import REGIMES, build_auxiliary, eliminate, in_t_k, low_high_split, q_value, regime
 
 Node = Union[int, str]
 
@@ -152,19 +152,15 @@ class DischargeParams:
 def make_params(k: int, bp: BoundParams, mode: str = "auto") -> DischargeParams:
     if bp.k != k:
         raise PreconditionError("bp was built for k=%d, not %d" % (bp.k, k))
-    if mode == "auto":
-        mode = "symmetric" if k >= 7 else "lopsided"
-    if mode not in ("symmetric", "lopsided"):
-        raise PreconditionError("unknown mode %r" % mode)
-    report = check_thm41(bp) if mode == "symmetric" else check_thm43(bp)
+    mode = regime(k, mode)
+    report = check_regime(bp, mode)
     if not report.passed:
         raise PreconditionError(
             "parameter conditions failed: %s" % "; ".join(report.failed),
             witness=report.failed,
         )
-    weight = 3 if mode == "symmetric" else 4
-    epsilon = 1 / Fraction(k + 2 + weight * bp.h - bp.p)
-    return DischargeParams(k, bp, mode, epsilon, epsilon * (bp.h + 1))
+    eps = epsilon(k, bp, mode)
+    return DischargeParams(k, bp, mode, eps, eps * (bp.h + 1))
 
 
 def run_main_discharge(g: Graph, params: DischargeParams) -> ChargeLedger:
@@ -238,22 +234,20 @@ _RECEIVE_RULES = {"R1", "R2", "R3ai", "R3bi"}
 @dataclass(frozen=True)
 class SponsorStats:
     gamma_counts: dict
-    outflow: dict
     unsponsored: dict
     max_w_neighbors: int
 
 
 def sponsorship_stats(g: Graph, params: DischargeParams, ledger: ChargeLedger) -> SponsorStats:
     """Read the rule-3 bookkeeping back out of a ledger: how many gammas each
-    k-vertex sent, total outflow per vertex, and per component how many of its
-    q(T) boundary edges carried no gamma."""
+    k-vertex sent, and per component how many of its q(T) boundary edges
+    carried no gamma."""
     k = params.k
     aux = build_auxiliary(g, k)
     gamma_counts = {
         y: sum(1 for r, s, _, _ in ledger.transfers if s == y and r in ("R3ai", "R3bi"))
         for y in aux.y_vertices
     }
-    outflow = {v: ledger.outflow(v, _RECEIVE_RULES) for v in range(g.n)}
     got_gamma = {
         (s, d) for r, s, d, _ in ledger.transfers if r in ("R2", "R3ai", "R3bi")
     }
@@ -268,7 +262,7 @@ def sponsorship_stats(g: Graph, params: DischargeParams, ledger: ChargeLedger) -
         unsponsored[i] = missing
         for y in aux.y_vertices:
             max_w = max(max_w, sum(1 for u in g.neighbors(y) if u in aux.w_sets[i]))
-    return SponsorStats(gamma_counts, outflow, unsponsored, max_w)
+    return SponsorStats(gamma_counts, unsponsored, max_w)
 
 
 @dataclass(frozen=True)
@@ -286,7 +280,7 @@ def tree_charge_audit(
     """Check a single component of the degree-(k-1) subgraph against the
     guaranteed inflow: with a K_{k-1} inside, received >= eps*A + gamma*(q-c)
     >= eps*(2-p)|T|; without one, received >= eps*A >= the same floor.
-    c is 2 in symmetric mode and 1 in lopsided mode."""
+    c is the mode's count of gammas a tree may miss (structure.REGIMES)."""
     k = params.k
     members = sorted(component)
     sub, _ = induced_subgraph(g, members)
@@ -298,10 +292,9 @@ def tree_charge_audit(
         (ledger.inflow(v, _RECEIVE_RULES) for v in members), Fraction(0)
     )
     floor = params.epsilon * (2 - params.bp.p) * len(members)
-    slack = 2 if params.mode == "symmetric" else 1
     has_clique = contains_clique(sub, k - 1)[0]
     if has_clique:
-        lower = params.epsilon * a_val + params.gamma * (q - slack)
+        lower = params.epsilon * a_val + params.gamma * (q - REGIMES[params.mode].c)
     else:
         lower = params.epsilon * a_val
     if received < lower:

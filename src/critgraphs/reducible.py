@@ -14,7 +14,7 @@ from typing import Dict, Optional, Tuple
 from .coloring import AT_MAX_EDGES, ATCertificate, is_f_AT
 from .errors import PreconditionError
 from .graph import Graph, contains_clique, induced_subgraph
-from .structure import AuxiliaryBipartite, build_aux_partition, in_t_k
+from .structure import AuxiliaryBipartite, build_aux_partition, eliminate, in_t_k
 
 # Default cap on the induced subgraphs _search_induced looks at.
 MAX_EXPLORED = 5000
@@ -121,16 +121,14 @@ def _search_induced(g, yset, max_edges, max_explored, max_attempts):
     )
 
 
-def _check_multi(g, y_vertices, k, y_min, tree_min, max_edges, max_explored, max_attempts):
+def _check_multi(g, y_vertices, k, mode, max_edges, max_explored, max_attempts):
     ys = sorted(set(y_vertices))
     for y in ys:
         if not 0 <= y < g.n:
             raise PreconditionError("marked set contains a non-vertex", witness=y)
     aux, hyps = _common_hypotheses(g, ys, k)
-    nt = len(aux.tree_components)
-    hyps["aux_degrees"] = all(aux.y_degree(y) >= y_min for y in ys) and all(
-        aux.tree_degree(i) >= tree_min for i in range(nt)
-    )
+    # marked aux degrees >= s, tree aux degrees >= c+1: elimination peels nothing
+    hyps["aux_degrees"] = not eliminate(aux, mode).order
     if not all(hyps.values()):
         return ReducibilityReport(hyps, None, None, "hypotheses failed")
     f_at, cert, keep, status = _search_induced(
@@ -151,7 +149,7 @@ def check_lemma52(
     The certificate lives on some induced subgraph, searched biggest-first."""
     if k < 7:
         raise PreconditionError("k must be at least 7", witness=k)
-    return _check_multi(g, y_vertices, k, 3, 3, max_edges, max_explored, max_attempts)
+    return _check_multi(g, y_vertices, k, "symmetric", max_edges, max_explored, max_attempts)
 
 
 def check_lemma53(
@@ -166,4 +164,8 @@ def check_lemma53(
     components only >= 2, and k = 5 or 6 are allowed."""
     if k < 5:
         raise PreconditionError("k must be at least 5", witness=k)
-    return _check_multi(g, y_vertices, k, 4, 2, max_edges, max_explored, max_attempts)
+    return _check_multi(g, y_vertices, k, "lopsided", max_edges, max_explored, max_attempts)
+
+
+# regime -> the checker of the configuration its elimination leaves
+MARKED_SET_CHECKS = {"symmetric": check_lemma52, "lopsided": check_lemma53}

@@ -10,7 +10,7 @@ which is what the coloring engines verify empirically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import NamedTuple, Optional
 
 from .errors import PreconditionError
 from .graph import Graph, _component_masks, _mask_bits, clique_vertices, induced_subgraph
@@ -270,14 +270,43 @@ class EliminationResult:
         return self.residual_trees is None
 
 
-_THRESHOLDS = {"symmetric": (2, 2), "lopsided": (1, 3)}
+class Regime(NamedTuple):
+    """One of the paper's two discharging regimes (see REGIMES)."""
+
+    c: int  # gammas a tree component may miss
+    s: int  # gammas a degree-k vertex may send
+    check: str  # the bounds report that gates its parameters
+    theorem: str  # the bound its discharging proves
+    lemma: str  # the lemma that makes what its elimination leaves reducible
 
 
-def eliminate(aux: AuxiliaryBipartite, mode: Literal["symmetric", "lopsided"]) -> EliminationResult:
-    """Peel the auxiliary graph: tree nodes at or below the tree threshold
-    first (ascending component id), then y nodes at or below theirs
-    (ascending vertex id), repeated to a fixpoint."""
-    tree_max, high_max = _THRESHOLDS[mode]
+# A tree may miss c gammas because condition 6, c(h+1) + f <= 0, pays for
+# them; a degree-k vertex may send s because epsilon = 1/(k+2+s*h-p) keeps
+# it at the target.  Elimination peels trees of aux degree <= c and marked
+# vertices of aux degree <= s-1, and the lemma forbids the rest.
+REGIMES = {
+    # Lemma 5.2 (k >= 7) forbids aux degrees >= 3 on both sides.
+    "symmetric": Regime(2, 3, "thm41", "Theorem 4.1", "Lemma 5.2"),
+    # Lemma 5.3 (k >= 5) forbids marked degree >= 4 with tree degree >= 2.
+    "lopsided": Regime(1, 4, "thm43", "Theorem 4.3", "Lemma 5.3"),
+}
+
+
+def regime(k: int, mode: str = "auto") -> str:
+    """The regime named mode, or for "auto" the one the paper applies at k:
+    Theorem 4.1 needs k >= 7, and Theorem 4.3 covers k = 5, 6."""
+    if mode == "auto":
+        mode = "lopsided" if k < 7 else "symmetric"
+    if mode not in REGIMES:
+        raise PreconditionError("unknown mode %r" % mode)
+    return mode
+
+
+def eliminate(aux: AuxiliaryBipartite, mode: str) -> EliminationResult:
+    """Peel the auxiliary graph: tree nodes of degree at most c first
+    (ascending component id), then y nodes of degree at most s-1 (ascending
+    vertex id), repeated to a fixpoint."""
+    tree_max, high_max = REGIMES[mode].c, REGIMES[mode].s - 1
     trees = set(range(len(aux.tree_components)))
     highs = set(aux.y_vertices)
     edges = set(aux.edges)

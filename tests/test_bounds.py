@@ -90,6 +90,11 @@ def test_thm43_is_for_five_and_six():
     assert not check_thm43(small_p(7)).k_ok
 
 
+def test_main_bound_auto_below_five_is_the_lopsided_regime():
+    with pytest.raises(PreconditionError, match="thm43 conditions fail for k=4: k-range"):
+        main_bound(4, "auto", preset_params(4, "smallP"))
+
+
 def test_main_bound_closed_forms():
     for k in (5, 6):
         got = main_bound(k, "auto", small_p(k))

@@ -69,6 +69,47 @@ def test_exit_3_on_usage_error(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,command", [(["chi", "-x"], "chi"), (["no-such-command"], None)])
+def test_usage_error_prints_one_document(capsys, argv, command):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert code == 3
+    assert doc["command"] == command
+    assert doc["error"].startswith("usage error: ")
+    assert doc["exit"] == 3
+    assert "usage error" in err
+
+
+def test_help_returns_0(capsys):
+    assert main(["chi", "-h"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["choose", "paint", "at"])
+def test_f_list_matches_uniform(capsys, command):
+    code_f, by_f = run(capsys, command, g6(Graph.cycle(5)), "--f", "3,3 3, 3,3")
+    code_u, by_u = run(capsys, command, g6(Graph.cycle(5)), "--uniform", "3")
+    assert code_f == code_u == 0
+    assert by_f["inputs"] == by_u["inputs"]
+    assert by_f["verdicts"] == by_u["verdicts"]
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["choose", g6(Graph.cycle(5)), "--f", "3,3"], "f has 2 entries for 5 vertices"),
+        (["paint", g6(Graph.cycle(5)), "--f", "3,3,x,3,3"], "f entries must be integers"),
+        (["reduce-check", "Bw", "--k", "5", "--y", "a"], "y entries must be integers"),
+    ],
+)
+def test_exit_3_on_bad_integer_list(capsys, argv, error):
+    code, doc = run(capsys, *argv)
+    assert code == 3
+    assert doc["exit"] == 3
+    assert error in doc["error"]
+
+
 def test_exit_3_on_missing_list_size(capsys):
     code, doc = run(capsys, "choose", g6(Graph.cycle(4)))
     assert code == 3
@@ -325,16 +366,29 @@ def test_reduce_check_budget_exit(capsys):
     assert doc["budget"]["exceeded"] is True
 
 
-def test_reduce_check_marked_set(capsys):
-    # two trees cannot give a marked vertex auxiliary degree 4
+def two_cliques_and_a_mark():
+    """K4 + K4 and vertex 8 joined to one vertex of each: two trees give the
+    marked vertex auxiliary degree at most 2, below either regime's floor."""
     edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
     edges += [(4 + a, 4 + b) for a in range(4) for b in range(a + 1, 4)]
     edges += [(8, 0), (8, 4)]
-    code, doc = run(capsys, "reduce-check", g6(Graph(9, edges)), "--k", "5", "--y", "8")
+    return g6(Graph(9, edges))
+
+
+def test_reduce_check_marked_set(capsys):
+    code, doc = run(capsys, "reduce-check", two_cliques_and_a_mark(), "--k", "5", "--y", "8")
     assert code == 1
     assert doc["verdicts"]["hypotheses"]["aux_degrees"] is False
     assert doc["paper_anchor"] == "Lemma 5.3"
     assert doc["verdicts"]["status"] == "hypotheses failed"
+
+
+@pytest.mark.parametrize("k,anchor", [(6, "Lemma 5.3"), (7, "Lemma 5.2"), (8, "Lemma 5.2")])
+def test_reduce_check_auto_variant_follows_k(capsys, k, anchor):
+    code, doc = run(capsys, "reduce-check", two_cliques_and_a_mark(), "--k", str(k), "--y", "8")
+    assert code == 1
+    assert doc["verdicts"]["hypotheses"]["aux_degrees"] is False
+    assert doc["paper_anchor"] == anchor
 
 
 def test_reduce_check_requires_a_mark(capsys):

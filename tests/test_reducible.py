@@ -5,10 +5,14 @@ import pytest
 from critgraphs import (
     Graph,
     PreconditionError,
+    build_aux_partition,
     check_lemma51,
     check_lemma52,
     check_lemma53,
+    eliminate,
 )
+from critgraphs.reducible import MARKED_SET_CHECKS
+from critgraphs.structure import REGIMES
 
 SINGLE_KEYS = {"no_Kk", "parts_in_Tk", "outside_degree_cap", "w_hit_every_part", "x_degree"}
 MULTI_KEYS = {"no_Kk", "parts_in_Tk", "outside_degree_cap", "aux_degrees"}
@@ -149,3 +153,19 @@ def test_multi_degree_cap_counts_only_unmarked_vertices():
     assert g.degree(0) == 5
     report = check_lemma53(g, ys, 5)
     assert report.hypotheses["outside_degree_cap"] is False
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "lopsided"])
+def test_elimination_caps_and_lemma_floors_share_a_regime(mode):
+    c, s = REGIMES[mode].c, REGIMES[mode].s
+    # the paper's floors: Lemma 5.2 (3, 3), Lemma 5.3 (4, 2)
+    assert (s, c + 1) == {"symmetric": (3, 3), "lopsided": (4, 2)}[mode]
+    for trees, marked in ((s, c + 1), (s - 1, c + 1), (s, c)):
+        # every marked vertex sees every tree: aux degrees are trees / marked
+        contacts = [[(i, j) for i in range(trees)] for j in range(marked)]
+        g, ys = marked_trees(7, [6] * trees, contacts)
+        stalls = not eliminate(build_aux_partition(g, ys, 7), mode).succeeded
+        report = MARKED_SET_CHECKS[mode](g, ys, 7, max_explored=1)
+        floors_met = trees >= s and marked >= c + 1
+        assert stalls == report.hypotheses["aux_degrees"] == floors_met
+        assert report.all_hold == floors_met
