@@ -50,7 +50,7 @@ from .discharge import (
 )
 from .errors import BudgetExceeded, EliminationFailed, GraphFormatError, PreconditionError
 from .generators import clique_path, enumerate_gallai_trees, extremal_chain
-from .graph import Graph, _int_pair, parse_edge_list, parse_graph6, write_graph6
+from .graph import Graph, _INT_TOKEN, _int_pair, parse_edge_list, parse_graph6, write_graph6
 from .reducible import MARKED_SET_CHECKS, MAX_EXPLORED, check_lemma51
 from .structure import (
     REGIMES,
@@ -120,10 +120,14 @@ def _read_graph(token: str) -> Graph:
 def _int_list(text: str, name: str) -> list:
     """The integers of a comma or space separated option value."""
     entries = text.replace(",", " ").split()
-    try:
-        return [int(e) for e in entries]
-    except ValueError:
-        raise PreconditionError("%s entries must be integers: %r" % (name, text)) from None
+    # -?[0-9]+ in ASCII text only, as for graph input: int() also reads
+    # non-ASCII digits and underscores, and split() non-ASCII spaces
+    if text.isascii() and all(_INT_TOKEN.fullmatch(e) for e in entries):
+        try:
+            return [int(e) for e in entries]
+        except ValueError:  # longer than int() accepts
+            pass
+    raise PreconditionError("%s entries must be integers: %r" % (name, text))
 
 
 def _parse_f(args, g: Graph):

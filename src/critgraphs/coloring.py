@@ -429,27 +429,38 @@ def is_f_AT(g: Graph, f: FVector, max_edges: int = AT_MAX_EDGES) -> Optional[ATC
         return None
     out = [0] * g.n
     arcs: list[tuple[int, int]] = []
+    # EE - EO is +-the coefficient of prod x_v^out(v) in prod_{u<v} (x_u - x_v)
+    # (Alon-Tarsi), so it depends only on the out-degree vector.  The subtree
+    # below edge i is then decided by (i, out), and i = sum(out): a state that
+    # failed once fails again, and a failed leaf vector never reaches ee_eo
+    # twice.  The key packs out as the digits of one base-(max cap + 1) int.
+    base = max(caps, default=0) + 1
+    weight = [base**v for v in range(g.n)]
+    failed: set[int] = set()
 
-    def dfs(i: int) -> Optional[ATCertificate]:
+    def dfs(i: int, key: int) -> Optional[ATCertificate]:
+        if key in failed:
+            return None
         if i == m:
             o = Orientation(g, tuple(arcs))
-            ee, eo = ee_eo(o)
+            ee, eo = ee_eo(o, max_arcs=m)
             if ee != eo:
                 return ATCertificate(o, ee, eo)
-            return None
-        u, v = edges[i]
-        for a, b in ((u, v), (v, u)):
-            if out[a] < caps[a]:
-                out[a] += 1
-                arcs.append((a, b))
-                res = dfs(i + 1)
-                arcs.pop()
-                out[a] -= 1
-                if res is not None:
-                    return res
+        else:
+            u, v = edges[i]
+            for a, b in ((u, v), (v, u)):
+                if out[a] < caps[a]:
+                    out[a] += 1
+                    arcs.append((a, b))
+                    res = dfs(i + 1, key + weight[a])
+                    arcs.pop()
+                    out[a] -= 1
+                    if res is not None:
+                        return res
+        failed.add(key)
         return None
 
-    return dfs(0)
+    return dfs(0, 0)
 
 
 def at_number(g: Graph, max_edges: int = AT_MAX_EDGES) -> int:

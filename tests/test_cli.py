@@ -57,6 +57,15 @@ def test_exit_2_on_budget(capsys):
     assert "error" in doc
 
 
+def test_at_edge_budget_covers_the_certificate_count(capsys):
+    # the certificate's EE/EO count runs under the --max-edges the caller gave
+    code, doc = run(capsys, "at", g6(Graph.cycle(24)), "--uniform", "3", "--max-edges", "30")
+    assert code == 0
+    assert doc["verdicts"]["f_at"] is True
+    cert = doc["verdicts"]["certificate"]
+    assert len(cert["arcs"]) == 24 and cert["ee"] != cert["eo"]
+
+
 def test_exit_3_on_bad_graph(capsys):
     code, doc = run(capsys, "analyze", "this is not graph6", "--k", "5")
     assert code == 3
@@ -101,6 +110,9 @@ def test_f_list_matches_uniform(capsys, command):
         (["choose", g6(Graph.cycle(5)), "--f", "3,3"], "f has 2 entries for 5 vertices"),
         (["paint", g6(Graph.cycle(5)), "--f", "3,3,x,3,3"], "f entries must be integers"),
         (["reduce-check", "Bw", "--k", "5", "--y", "a"], "y entries must be integers"),
+        (["choose", "Bw", "--f", "\u0662,\u0662,\u0662"], "f entries must be integers"),
+        (["choose", "Bw", "--f", "1_0,2,2"], "f entries must be integers"),
+        (["choose", "Bw", "--f", "3\u00a03\u00a03"], "f entries must be integers"),
     ],
 )
 def test_exit_3_on_bad_integer_list(capsys, argv, error):

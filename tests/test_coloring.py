@@ -4,6 +4,8 @@ from itertools import combinations, product
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import connected_atlas
 from critgraphs import (
@@ -24,6 +26,7 @@ from critgraphs import (
     is_k_critical,
     is_k_list_critical,
 )
+import critgraphs.coloring as coloring
 from critgraphs.coloring import ee_eo_poly
 
 
@@ -207,6 +210,85 @@ def test_at_monotone_in_f():
     g = k23()
     assert is_f_AT(g, [2] * 5) is None
     assert is_f_AT(g, [3, 2, 2, 2, 2]) is not None
+
+
+def reference_f_AT(g, f):
+    """The certificate search without a memo: lexicographic DFS, ee_eo at every
+    leaf.  Returns the (arcs, ee, eo) found or None, and the set of leaf
+    out-degree vectors visited."""
+    caps = [x - 1 for x in f]
+    edges = list(g.edges())
+    out, arcs, leaves = [0] * g.n, [], set()
+    if any(c < 0 for c in caps):
+        return None, leaves
+
+    def dfs(i):
+        if i == len(edges):
+            leaves.add(tuple(out))
+            ee, eo = ee_eo(Orientation(g, tuple(arcs)), max_arcs=len(edges))
+            return (tuple(arcs), ee, eo) if ee != eo else None
+        u, v = edges[i]
+        for a, b in ((u, v), (v, u)):
+            if out[a] < caps[a]:
+                out[a] += 1
+                arcs.append((a, b))
+                res = dfs(i + 1)
+                arcs.pop()
+                out[a] -= 1
+                if res is not None:
+                    return res
+        return None
+
+    return dfs(0), leaves
+
+
+def counted_is_f_AT(g, f):
+    """is_f_AT(g, f) as (arcs, ee, eo) or None, and how often it called ee_eo."""
+    calls = []
+
+    def counting(d, **kw):
+        calls.append(d)
+        return ee_eo(d, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coloring, "ee_eo", counting)
+        cert = is_f_AT(g, f)
+    found = None if cert is None else (cert.orientation.arcs, cert.ee, cert.eo)
+    return found, len(calls)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6), st.data())
+def test_at_matches_reference_search(n, data):
+    pairs = list(combinations(range(n), 2))
+    # at most 10 edges: the reference costs seconds on denser 6-vertex graphs
+    g = Graph(n, [p for p in pairs if data.draw(st.booleans())][:10])
+    # f in 0..4 near the degree, where the search visits several leaves
+    f = [min(4, max(0, g.degree(v) + data.draw(st.integers(-1, 1)))) for v in range(n)]
+    want, leaves = reference_f_AT(g, f)
+    got, calls = counted_is_f_AT(g, f)
+    assert got == want
+    # each leaf out-vector is counted at most once
+    assert calls <= len(leaves)
+
+
+@pytest.mark.parametrize(
+    "g,f", [(Graph(0, []), []), (Graph(4), [1, 1, 1, 1]), (Graph(4), [1, 3, 0, 2])]
+)
+def test_at_without_edges(g, f):
+    want, _ = reference_f_AT(g, f)
+    got, calls = counted_is_f_AT(g, f)
+    assert got == want
+    assert (got is None) == (0 in f)
+    if got is not None:
+        assert got == ((), 1, 0) and calls == 1
+
+
+def test_at_counts_each_out_vector_once():
+    # both directed 5-cycles have out-vector (1, 1, 1, 1, 1) and EE == EO
+    got, calls = counted_is_f_AT(Graph.cycle(5), [2] * 5)
+    assert got is None
+    assert calls == 1
 
 
 def test_at_budget():
