@@ -37,6 +37,7 @@ from .coloring import (
     is_k_AT_critical,
     is_k_critical,
     is_k_list_critical,
+    is_k_paint_critical,
 )
 from .discharge import (
     ChargeLedger,

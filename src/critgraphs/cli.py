@@ -39,6 +39,7 @@ from .coloring import (
     is_k_AT_critical,
     is_k_critical,
     is_k_list_critical,
+    is_k_paint_critical,
 )
 from .discharge import (
     gallai_target,
@@ -162,6 +163,7 @@ def _certificate(cert) -> dict:
 _CRITICAL = {
     "chromatic": (is_k_critical, "max_vertices", CHI_MAX_VERTICES),
     "list": (is_k_list_critical, "max_vertices", CHOOSE_MAX_VERTICES),
+    "online": (is_k_paint_critical, "max_vertices", PAINT_MAX_VERTICES),
     "at": (is_k_AT_critical, "max_edges", AT_MAX_EDGES),
 }
 

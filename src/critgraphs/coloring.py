@@ -15,7 +15,7 @@ FVector = Sequence[int]
 # Default budgets of the deciders below; the CLI uses the same values.
 CHI_MAX_VERTICES = 16
 CHOOSE_MAX_VERTICES = 10
-PAINT_MAX_VERTICES = 8
+PAINT_MAX_VERTICES = 10
 AT_MAX_EDGES = 20
 
 
@@ -118,17 +118,18 @@ def chromatic_number(g: Graph, max_vertices: int = CHI_MAX_VERTICES) -> int:
 # colors at all, so such a witness restricts to one on G - v).
 
 
-def _eliminable(g: Graph, umask: int, r: Sequence[int]) -> bool:
-    # repeatedly discard a vertex whose remaining demand beats its degree in U;
-    # if U empties, any completion of the partial assignment is colorable
+def _peel(adj, umask: int, r: Sequence[int]) -> int:
+    """Repeatedly drop a vertex of umask whose demand r[v] beats its degree
+    among the vertices left, and return those left.  A dropped vertex can
+    always be colored last, from its list or by Painter."""
     changed = True
     while umask and changed:
         changed = False
         for v in _mask_bits(umask):
-            if r[v] >= (g.adj_mask(v) & umask).bit_count() + 1:
+            if r[v] >= (adj[v] & umask).bit_count() + 1:
                 umask &= ~(1 << v)
                 changed = True
-    return umask == 0
+    return umask
 
 
 def _connected_supersets(g: Graph, pivot: int, allowed: int):
@@ -164,7 +165,7 @@ def _search_classes(g: Graph, mask: int, f: tuple[int, ...]):
             if mask in reached:
                 return None
             return list(classes)
-        if any(_eliminable(g, mask & ~m, r) for m in reached):
+        if any(not _peel(g._adj, mask & ~m, r) for m in reached):
             return None
         pivot = (active & -active).bit_length() - 1
         cands = [c for c in _connected_supersets(g, pivot, active)
@@ -270,23 +271,26 @@ def is_f_paintable(g: Graph, f: FVector, max_vertices: int = PAINT_MAX_VERTICES)
     if g.n > max_vertices:
         raise BudgetExceeded("is_f_paintable limited to %d vertices" % max_vertices)
     adj = g._adj
-    memo: dict[tuple[int, tuple[int, ...]], bool] = {}
+    memo: dict[tuple[int, ...], bool] = {}
 
     def win(mask: int, tok: tuple[int, ...]) -> bool:
-        if mask == 0:
-            return True
         for v in _mask_bits(mask):
             if tok[v] <= 0:
                 return False
-        if all(tok[v] >= (adj[v] & mask).bit_count() + 1 for v in _mask_bits(mask)):
+        # Schauz (EJC 2009): a vertex with more tokens than live neighbours is
+        # painted once they are, so it leaves the game
+        mask = _peel(adj, mask, tok)
+        if mask == 0:
             return True
-        key = (mask, tok)
-        if key in memo:
-            return memo[key]
+        # the live vertices are exactly those with tokens left, so the token
+        # vector alone is the state
+        tok = tuple(t if mask >> v & 1 else 0 for v, t in enumerate(tok))
+        if tok in memo:
+            return memo[tok]
         comps = _component_masks(adj, mask)
         if len(comps) > 1:
             res = all(win(c, tok) for c in comps)
-            memo[key] = res
+            memo[tok] = res
             return res
         # Lister's moves: the nonempty submasks of mask, largest first
         sets = []
@@ -308,7 +312,7 @@ def is_f_paintable(g: Graph, f: FVector, max_vertices: int = PAINT_MAX_VERTICES)
             if not answered:
                 res = False
                 break
-        memo[key] = res
+        memo[tok] = res
         return res
 
     return win((1 << g.n) - 1, f)
@@ -506,7 +510,7 @@ def implication_chain(
 # ---------------------------------------------------------------------------
 # criticality
 
-# All three parameters are monotone under subgraphs, so "every proper subgraph"
+# All four parameters are monotone under subgraphs, so "every proper subgraph"
 # reduces to single edge deletions, plus the isolated-vertex case which no
 # edge deletion covers.
 
@@ -527,17 +531,27 @@ def is_k_critical(g: Graph, k: int, max_vertices: int = CHI_MAX_VERTICES) -> boo
     )
 
 
+def _k_critical_for_lists(g: Graph, k: int, colorable) -> bool:
+    """Not colorable(g, f) with k-1 colors at every vertex, while every proper
+    subgraph is."""
+    if g.n == 0 or k < 1:
+        return False
+    f = [k - 1] * g.n
+    if colorable(g, f) or not _no_isolated(g):
+        return False
+    return all(colorable(g.remove_edge(u, v), f) for u, v in g.edges())
+
+
 def is_k_list_critical(g: Graph, k: int, max_vertices: int = CHOOSE_MAX_VERTICES) -> bool:
-    if g.n == 0:
-        return False
-    lists = [k - 1] * g.n
-    if k < 1 or is_f_choosable(g, lists, max_vertices)[0]:
-        return False
-    if not _no_isolated(g):
-        return False
-    return all(
-        is_f_choosable(g.remove_edge(u, v), lists, max_vertices)[0]
-        for u, v in g.edges()
+    return _k_critical_for_lists(
+        g, k, lambda h, f: is_f_choosable(h, f, max_vertices)[0]
+    )
+
+
+def is_k_paint_critical(g: Graph, k: int, max_vertices: int = PAINT_MAX_VERTICES) -> bool:
+    """Critical for the paint game, that is online list critical."""
+    return _k_critical_for_lists(
+        g, k, lambda h, f: is_f_paintable(h, f, max_vertices)
     )
 
 

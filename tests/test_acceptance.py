@@ -117,7 +117,7 @@ def test_criterion_4_coloring_chain_and_degree_lists():
             assert not (paint_ok and not choose_ok), g
             chain_checked += 1
     d0_checked = 0
-    for g in connected_atlas(6):
+    for g in connected_atlas(7):
         f = list(g.degrees())
         choose_ok, _ = is_f_choosable(g, f)
         paint_ok = is_f_paintable(g, f)

@@ -320,6 +320,10 @@ def test_critical_notions(capsys):
     code, doc = run(capsys, "critical", g6(Graph.complete(4)), "--k", "4", "--notion", "at")
     assert code == 0
     assert run(capsys, "critical", g6(Graph.cycle(4)), "--k", "3", "--notion", "list")[0] == 1
+    # theta(2,2,4) is critical for the paint game but not for list coloring
+    theta = Graph(7, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 5), (5, 6), (6, 1)])
+    assert run(capsys, "critical", g6(theta), "--k", "3", "--notion", "online")[0] == 0
+    assert run(capsys, "critical", g6(theta), "--k", "3", "--notion", "list")[0] == 1
 
 
 def test_discharge_gallai_mode(capsys):
@@ -438,7 +442,8 @@ def test_census_budget_skips(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "notion,budget", [("list", (10, None)), ("at", (None, 20)), ("chromatic", (16, None))]
+    "notion,budget",
+    [("list", (10, None)), ("at", (None, 20)), ("chromatic", (16, None)), ("online", (10, None))],
 )
 def test_census_reports_the_budget_it_applied(capsys, monkeypatch, notion, budget):
     monkeypatch.setattr(sys, "stdin", io.StringIO(g6(Graph.complete(4)) + "\n"))

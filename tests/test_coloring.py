@@ -1,5 +1,6 @@
 """Coloring, choosability, paintability, and orientation-count engines."""
 
+import random
 from itertools import combinations, product
 
 import networkx as nx
@@ -25,9 +26,11 @@ from critgraphs import (
     is_k_AT_critical,
     is_k_critical,
     is_k_list_critical,
+    is_k_paint_critical,
 )
 import critgraphs.coloring as coloring
-from critgraphs.coloring import ee_eo_poly
+from critgraphs.coloring import PAINT_MAX_VERTICES, ee_eo_poly
+from critgraphs.graph import _component_masks, _independent_subsets, _mask_bits
 
 
 def chi_oracle(g):
@@ -115,8 +118,106 @@ def test_paintable_separates_from_choosable():
 
 
 def test_paintable_budget():
+    n = PAINT_MAX_VERTICES + 1
     with pytest.raises(BudgetExceeded):
-        is_f_paintable(Graph(9), [1] * 9)
+        is_f_paintable(Graph(n), [1] * n)
+
+
+def square_of_cycle(n):
+    return Graph(n, [(i, (i + d) % n) for i in range(n) for d in (1, 2)])
+
+
+def k_nn(n):
+    return Graph(2 * n, [(a, b) for a in range(n) for b in range(n, 2 * n)])
+
+
+@pytest.mark.parametrize(
+    "g,tokens",
+    [
+        (Graph.wheel(8), 3),
+        (square_of_cycle(9), 4),
+        (k_nn(4), 3),
+        (Graph(10, list(nx.petersen_graph().edges())), 3),
+    ],
+)
+def test_paint_decides_up_to_the_budget(g, tokens):
+    assert g.n <= PAINT_MAX_VERTICES
+    assert is_f_paintable(g, [tokens] * g.n)
+
+
+def reference_f_paintable(g, f):
+    """The paint game without peeling: Lister's and Painter's moves as in
+    is_f_paintable, stopping early only when every live vertex has more
+    tokens than live neighbours."""
+    adj = g._adj
+    memo = {}
+
+    def win(mask, tok):
+        if mask == 0:
+            return True
+        for v in _mask_bits(mask):
+            if tok[v] <= 0:
+                return False
+        if all(tok[v] >= (adj[v] & mask).bit_count() + 1 for v in _mask_bits(mask)):
+            return True
+        key = (mask, tok)
+        if key in memo:
+            return memo[key]
+        comps = _component_masks(adj, mask)
+        if len(comps) > 1:
+            res = all(win(c, tok) for c in comps)
+            memo[key] = res
+            return res
+        sets = []
+        s = mask
+        while s:
+            sets.append(s)
+            s = (s - 1) & mask
+        sets.sort(key=lambda s: (-s.bit_count(), s))
+        res = True
+        for s in sets:
+            answered = False
+            for i in sorted(_independent_subsets(adj, s), key=lambda x: -x.bit_count()):
+                ntok = list(tok)
+                for v in _mask_bits(s & ~i):
+                    ntok[v] -= 1
+                if win(mask & ~i, tuple(ntok)):
+                    answered = True
+                    break
+            if not answered:
+                res = False
+                break
+        memo[key] = res
+        return res
+
+    return win((1 << g.n) - 1, tuple(f))
+
+
+def test_paint_matches_reference_on_atlas():
+    rng = random.Random(6)
+    cases = 0
+    for g in connected_atlas(6):
+        degs = list(g.degrees())
+        for f in (
+            [2] * g.n,
+            [3] * g.n,
+            degs,
+            [max(0, d - 1) for d in degs],
+            [rng.randint(0, 4) for _ in range(g.n)],
+        ):
+            assert is_f_paintable(g, f) == reference_f_paintable(g, f), (g, f)
+            cases += 1
+    assert cases == 5 * 143
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 7), st.data())
+def test_paint_matches_reference_search(n, data):
+    pairs = list(combinations(range(n), 2))
+    g = Graph(n, [p for p in pairs if data.draw(st.booleans())])
+    # tokens near the degree, so that some vertices peel and some do not
+    f = [min(4, max(0, g.degree(v) + data.draw(st.integers(-2, 1)))) for v in range(n)]
+    assert is_f_paintable(g, f) == reference_f_paintable(g, f)
 
 
 # orientations and the two subdigraph counts
@@ -365,6 +466,16 @@ def test_list_and_at_criticality():
     assert is_k_AT_critical(Graph.cycle(5), 3)
     assert is_k_AT_critical(Graph.complete(4), 4)
     assert is_k_AT_critical(Graph(1), 1)
+
+
+def test_paint_criticality():
+    assert is_k_paint_critical(Graph.cycle(5), 3)
+    assert is_k_paint_critical(Graph.complete(4), 4)
+    assert not is_k_paint_critical(Graph.complete(4), 3)
+    assert is_k_paint_critical(Graph.wheel(5), 4)
+    # the online game separates the two notions
+    assert is_k_paint_critical(theta_2_2_4(), 3)
+    assert not is_k_list_critical(theta_2_2_4(), 3)
 
 
 def test_criticality_budgets():
