@@ -157,16 +157,21 @@ def tree_bound_rhs(bp: BoundParams, n: int, q: int) -> Fraction:
     return (bp.k - 3 + bp.p) * n + bp.f + bp.h * q
 
 
+def refined_tree_bound(k: int, n: int) -> Fraction:
+    """Lemma 2.2's refined bound on 2||G|| for a Gallai tree: (k-2+2/(k-1))n - 2."""
+    return (k - 2 + F(2, k - 1)) * n - 2
+
+
 def tree_bound_failures(g: Graph, k: int) -> list[str]:
     """The four per-tree bounds on 2||G|| (Lemmas 2.2, 3.1 and Corollary
     3.3) for a Gallai tree g; returns the names of any that fail."""
     n, m2 = g.n, 2 * g.m
     q = q_value(g, k)
-    basic = (k - 2 + F(2, k - 1)) * n
+    refined = refined_tree_bound(k, n)
     failures = []
-    if not m2 < basic:
+    if not m2 < refined + 2:
         failures.append("basic-strict")
-    if not m2 <= basic - 2:
+    if not m2 <= refined:
         failures.append("refined-minus-2")
     if contains_clique(g, k - 1)[0]:
         if not m2 <= tree_bound_rhs(preset_params(k, "smallP"), n, q):

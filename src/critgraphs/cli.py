@@ -18,10 +18,9 @@ from fractions import Fraction
 from .bounds import (
     TABLE1_COLUMNS,
     dirac_bound,
-    g_family,
     ky_bound,
-    main_bound,
     preset_params,
+    refined_tree_bound,
     table1,
     tree_bound_failures,
     tree_bound_rhs,
@@ -98,23 +97,39 @@ def _read_text(source: str) -> str:
         raise GraphFormatError("cannot read %s: %s" % (name, e)) from None
 
 
-def _read_graph(token: str) -> Graph:
-    """Accept a graph6 literal, '@path' to a file, or '-' for stdin.
+def _graph6_records(text: str):
+    """(line number, record) for each line left non-blank once a '>>graph6<<' header is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line.startswith(">>graph6<<"):
+            line = line[len(">>graph6<<"):]
+        if line:
+            yield lineno, line
 
-    Files holding an 'n m' header line are read as edge lists, anything else
-    as graph6 (a '>>graph6<<' header is tolerated).
-    """
+
+def _read_graph(token: str, max_vertices=None) -> Graph:
+    """Accept a graph6 literal, '@path' to a file, or '-' for stdin.  A file
+    whose first non-blank line is an 'n m' header is an edge list, checked
+    against max_vertices before it is built; any other file holds one graph6
+    record."""
     if token != "-" and not token.startswith("@"):
         return parse_graph6(token)
     text = _read_text(token if token == "-" else token[1:])
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise GraphFormatError("empty input")
-    first = lines[0].strip()
-    if first.startswith(">>graph6<<"):
-        first = first[len(">>graph6<<"):]
-    if _int_pair(first) is not None:
+    header = next((ln for ln in text.splitlines() if ln.strip()), "")
+    counts = _int_pair(header)
+    if counts is not None:
+        # a header with a negative count is parse_edge_list's to reject
+        if max_vertices is not None and min(counts) >= 0 and counts[0] > max_vertices:
+            raise BudgetExceeded("edge list header names %d vertices, over the budget of %d"
+                                 % (counts[0], max_vertices))
         return parse_edge_list(text)
+    records = _graph6_records(text)
+    _, first = next(records, (0, None))
+    if first is None:
+        raise GraphFormatError("empty input")
+    extra = next(records, None)
+    if extra is not None:
+        raise GraphFormatError("line %d: a second graph6 record; a file holds one graph" % extra[0])
     return parse_graph6(first)
 
 
@@ -265,7 +280,7 @@ def _cmd_construct(args):
     else:
         g = clique_path(k, m)
         q = q_value(g, k)
-        rhs = (Fraction(k - 2) + Fraction(2, k - 1)) * g.n - 2
+        rhs = refined_tree_bound(k, g.n)
         anchor = "Lemma 2.2 refinement"
     verdicts = {
         "graph6": write_graph6(g),
@@ -298,7 +313,7 @@ def _cmd_at(args):
 
 
 def _cmd_choose(args):
-    g = _read_graph(args.graph)
+    g = _read_graph(args.graph, args.max_vertices)
     f = _parse_f(args, g)
     ok, witness = is_f_choosable(g, f, max_vertices=args.max_vertices)
     verdicts = {"f_choosable": ok}
@@ -312,7 +327,7 @@ def _cmd_choose(args):
 
 
 def _cmd_paint(args):
-    g = _read_graph(args.graph)
+    g = _read_graph(args.graph, args.max_vertices)
     f = _parse_f(args, g)
     ok = is_f_paintable(g, f, max_vertices=args.max_vertices)
     inputs = {"graph": write_graph6(g), "f": f}
@@ -321,7 +336,7 @@ def _cmd_paint(args):
 
 
 def _cmd_chi(args):
-    g = _read_graph(args.graph)
+    g = _read_graph(args.graph, args.max_vertices)
     value = chromatic_number(g, max_vertices=args.max_vertices)
     inputs = {"graph": write_graph6(g)}
     budget = _budget(max_vertices=args.max_vertices)
@@ -329,8 +344,8 @@ def _cmd_chi(args):
 
 
 def _cmd_critical(args):
-    g = _read_graph(args.graph)
     decide, limit = _critical_decider(args)
+    g = _read_graph(args.graph, limit.get("max_vertices"))
     ok = decide(g, args.k, **limit)
     inputs = {"graph": write_graph6(g), "k": args.k, "notion": args.notion}
     return {"critical": ok}, 0 if ok else 1, "criticality notions", inputs, _budget(**limit)
@@ -398,7 +413,7 @@ def _cmd_discharge(args):
     }
     audits = []
     audit_failures = []
-    for comp in sorted(low_high_split(g, k).l_components, key=min):
+    for comp in low_high_split(g, k).l_components:
         try:
             a = tree_charge_audit(g, sorted(comp), params, ledger)
             audits.append(
@@ -467,14 +482,7 @@ def _cmd_census(args):
     rows = {}
     errors = []
     skipped = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith(">>graph6<<"):
-            line = line[len(">>graph6<<"):]
-            if not line:
-                continue
+    for lineno, line in _graph6_records(text):
         try:
             g = parse_graph6(line)
         except GraphFormatError as e:
@@ -500,10 +508,11 @@ def _cmd_census(args):
         # the first bound is on 2||G|| and assumes G != K_k; the second on ||G||
         row["dirac_2m"] = dirac_bound(k, n)
         row["ky_edges"] = ky_bound(k, n)
+    # the reference table starts at k = 4; its "here" column is the main bound
+    row = table1([k])[k] if k >= 4 else {}
     avg_bounds = {
-        "gallai": _rat(g_family(k, 0)) if k >= 4 else None,
-        "kriv": _rat(g_family(k, 2)) if k >= 4 else None,
-        "main": _rat(main_bound(k, "auto", preset_params(k, "smallP"))) if k >= 5 else None,
+        key: _rat(row[col].exact) if row and row[col].exact is not None else None
+        for key, col in (("gallai", "gallai"), ("kriv", "kriv"), ("main", "here"))
     }
     verdicts = {
         "rows": {str(n): rows[n] for n in sorted(rows)},

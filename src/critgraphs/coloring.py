@@ -17,6 +17,7 @@ CHI_MAX_VERTICES = 16
 CHOOSE_MAX_VERTICES = 10
 PAINT_MAX_VERTICES = 10
 AT_MAX_EDGES = 20
+EE_EO_MAX_ARCS = 22
 
 
 def _check_f(g: Graph, f: FVector) -> tuple[int, ...]:
@@ -349,7 +350,7 @@ class Orientation:
         return tuple(d)
 
 
-def ee_eo(d: Orientation, max_arcs: int = 22) -> tuple[int, int]:
+def ee_eo(d: Orientation, max_arcs: int = EE_EO_MAX_ARCS) -> tuple[int, int]:
     """Count spanning eulerian subdigraphs (in-degree = out-degree everywhere),
     split by parity of arc count.  The empty subdigraph always counts as even."""
     arcs = d.arcs
@@ -387,7 +388,7 @@ def ee_eo(d: Orientation, max_arcs: int = 22) -> tuple[int, int]:
     return states.get((), (0, 0))
 
 
-def ee_eo_poly(d: Orientation, max_arcs: int = 22) -> int:
+def ee_eo_poly(d: Orientation, max_arcs: int = EE_EO_MAX_ARCS) -> int:
     """EE - EO computed independently: it is, up to the sign of the number of
     descending arcs, the coefficient of prod x_v^outdeg(v) in
     prod over edges u<v of (x_u - x_v)."""
@@ -510,56 +511,38 @@ def implication_chain(
 # ---------------------------------------------------------------------------
 # criticality
 
-# All four parameters are monotone under subgraphs, so "every proper subgraph"
-# reduces to single edge deletions, plus the isolated-vertex case which no
-# edge deletion covers.
+# The paper's one definition: g is k-X-critical when g is not (k-1)-X but
+# every proper subgraph is.  Each parameter X here (chromatic, choice, paint
+# and AT number) is monotone under subgraphs, so proper subgraphs reduce to
+# edge deletions, plus isolated vertices, which no deletion covers.  Adding a
+# vertex u raises each by at most one; in turn: give u a new colour; colour u
+# first and delete its colour from the other lists; Painter paints u alone
+# the first time it is offered, and the others offered then lose one token;
+# orient u's edges into u, so no Eulerian subdigraph uses them.  So X(g) <=
+# X(g - u) + 1 <= X(g - e) + 1 for an edge e = uv, and "not (k-1)-X while
+# every g - e is" says the same as "X(g) = k while every X(g - e) < k".
 
 
-def _no_isolated(g: Graph) -> bool:
-    return g.n == 1 or all(g.degree(v) > 0 for v in range(g.n))
+def _k_critical(g: Graph, k: int, colorable) -> bool:
+    """Not colorable(g, k - 1), while colorable(h, k - 1) for every proper
+    subgraph h, so no vertex is isolated; colorable(h, j) means h is j-X."""
+    if g.n == 0 or k < 1 or colorable(g, k - 1) or (g.n > 1 and 0 in g.degrees()):
+        return False
+    return all(colorable(g.remove_edge(u, v), k - 1) for u, v in g.edges())
 
 
 def is_k_critical(g: Graph, k: int, max_vertices: int = CHI_MAX_VERTICES) -> bool:
-    if g.n == 0:
-        return False
-    if chromatic_number(g, max_vertices) != k:
-        return False
-    if not _no_isolated(g):
-        return False
-    return all(
-        chromatic_number(g.remove_edge(u, v), max_vertices) < k for u, v in g.edges()
-    )
-
-
-def _k_critical_for_lists(g: Graph, k: int, colorable) -> bool:
-    """Not colorable(g, f) with k-1 colors at every vertex, while every proper
-    subgraph is."""
-    if g.n == 0 or k < 1:
-        return False
-    f = [k - 1] * g.n
-    if colorable(g, f) or not _no_isolated(g):
-        return False
-    return all(colorable(g.remove_edge(u, v), f) for u, v in g.edges())
+    return _k_critical(g, k, lambda h, j: chromatic_number(h, max_vertices) <= j)
 
 
 def is_k_list_critical(g: Graph, k: int, max_vertices: int = CHOOSE_MAX_VERTICES) -> bool:
-    return _k_critical_for_lists(
-        g, k, lambda h, f: is_f_choosable(h, f, max_vertices)[0]
-    )
+    return _k_critical(g, k, lambda h, j: is_f_choosable(h, [j] * h.n, max_vertices)[0])
 
 
 def is_k_paint_critical(g: Graph, k: int, max_vertices: int = PAINT_MAX_VERTICES) -> bool:
     """Critical for the paint game, that is online list critical."""
-    return _k_critical_for_lists(
-        g, k, lambda h, f: is_f_paintable(h, f, max_vertices)
-    )
+    return _k_critical(g, k, lambda h, j: is_f_paintable(h, [j] * h.n, max_vertices))
 
 
 def is_k_AT_critical(g: Graph, k: int, max_edges: int = AT_MAX_EDGES) -> bool:
-    if g.n == 0:
-        return False
-    if at_number(g, max_edges) != k:
-        return False
-    if not _no_isolated(g):
-        return False
-    return all(at_number(g.remove_edge(u, v), max_edges) < k for u, v in g.edges())
+    return _k_critical(g, k, lambda h, j: is_f_AT(h, [j] * h.n, max_edges) is not None)

@@ -16,8 +16,9 @@ from .errors import PreconditionError
 from .graph import Graph, contains_clique, induced_subgraph
 from .structure import AuxiliaryBipartite, build_aux_partition, eliminate, in_t_k
 
-# Default cap on the induced subgraphs _search_induced looks at.
+# Default caps of _search_induced: induced subgraphs looked at, certificate searches run.
 MAX_EXPLORED = 5000
+MAX_ATTEMPTS = 25
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ def check_lemma52(
     k: int,
     max_edges: int = AT_MAX_EDGES,
     max_explored: int = MAX_EXPLORED,
-    max_attempts: int = 25,
+    max_attempts: int = MAX_ATTEMPTS,
 ) -> ReducibilityReport:
     """Marked vertex set Y, both sides of the auxiliary graph of degree >= 3.
     The certificate lives on some induced subgraph, searched biggest-first."""
@@ -158,7 +159,7 @@ def check_lemma53(
     k: int,
     max_edges: int = AT_MAX_EDGES,
     max_explored: int = MAX_EXPLORED,
-    max_attempts: int = 25,
+    max_attempts: int = MAX_ATTEMPTS,
 ) -> ReducibilityReport:
     """Lopsided variant: marked vertices need auxiliary degree >= 4 but tree
     components only >= 2, and k = 5 or 6 are allowed."""

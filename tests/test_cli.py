@@ -225,6 +225,39 @@ def test_graph_file_forms_agree(capsys, tmp_path):
     assert doc_a["verdicts"] == doc_b["verdicts"]
 
 
+def test_graph_file_holds_one_record(capsys, tmp_path):
+    path = tmp_path / "g.g6"
+    path.write_text("Bw\n\nDhc\n", encoding="ascii")
+    code, doc = run(capsys, "chi", "@%s" % path)
+    assert code == 3
+    assert "line 3" in doc["error"]
+    # a header on a line of its own is not a record
+    path.write_text(">>graph6<<\nBw\n", encoding="ascii")
+    code, doc = run(capsys, "chi", "@%s" % path)
+    assert code == 0
+    assert doc["inputs"]["graph"] == "Bw"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chi"],
+        ["choose", "--uniform", "3"],
+        ["paint", "--uniform", "3"],
+        ["critical", "--k", "3"],
+        ["critical", "--k", "3", "--notion", "list"],
+        ["critical", "--k", "3", "--notion", "online"],
+    ],
+)
+def test_edge_list_header_over_budget_exits_before_the_body(capsys, monkeypatch, argv):
+    # the body is malformed, so reading it would exit 3
+    monkeypatch.setattr(sys, "stdin", io.StringIO("2000000 1\nnot an edge\n"))
+    code, doc = run(capsys, argv[0], "-", *argv[1:])
+    assert code == 2
+    assert doc["budget"]["exceeded"] is True
+    assert "2000000 vertices" in doc["error"]
+
+
 # determinism
 
 def charge_g6():

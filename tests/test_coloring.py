@@ -459,6 +459,46 @@ def test_critical_against_brute_force():
     assert are_isomorphic(hits[1], Graph.wheel(5))
 
 
+def _no_isolated(g):
+    return g.n == 1 or all(g.degree(v) > 0 for v in range(g.n))
+
+
+def reference_k_critical(g, k):
+    """The number rule: chi(g) = k and chi(g - e) < k for every edge e."""
+    if g.n == 0 or chromatic_number(g) != k or not _no_isolated(g):
+        return False
+    return all(chromatic_number(g.remove_edge(u, v)) < k for u, v in g.edges())
+
+
+def reference_k_AT_critical(g, k):
+    """The number rule on the AT number."""
+    if g.n == 0 or at_number(g) != k or not _no_isolated(g):
+        return False
+    return all(at_number(g.remove_edge(u, v)) < k for u, v in g.edges())
+
+
+def test_critical_matches_number_rule():
+    hits = 0
+    for g in connected_atlas(7):
+        for k in range(1, 7):
+            want = reference_k_critical(g, k)
+            assert is_k_critical(g, k) == want, (g, k)
+            hits += want
+    assert hits > 0
+
+
+def test_at_critical_matches_number_rule():
+    hits = 0
+    for g in connected_atlas(6):
+        if g.m > 10:
+            continue
+        for k in range(1, 6):
+            want = reference_k_AT_critical(g, k)
+            assert is_k_AT_critical(g, k) == want, (g, k)
+            hits += want
+    assert hits > 0
+
+
 def test_list_and_at_criticality():
     assert is_k_list_critical(Graph.cycle(5), 3)
     assert is_k_list_critical(Graph.complete(4), 4)
@@ -483,3 +523,6 @@ def test_criticality_budgets():
         is_k_critical(Graph.complete(17), 17)
     with pytest.raises(BudgetExceeded):
         is_k_AT_critical(Graph.complete(7), 7)
+    # no graph is k-critical for k < 1, so no budget is consulted
+    assert not is_k_critical(Graph.complete(17), 0)
+    assert not is_k_AT_critical(Graph.complete(7), 0)
