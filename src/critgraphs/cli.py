@@ -107,21 +107,26 @@ def _graph6_records(text: str):
             yield lineno, line
 
 
-def _read_graph(token: str, max_vertices=None) -> Graph:
-    """Accept a graph6 literal, '@path' to a file, or '-' for stdin.  A file
-    whose first non-blank line is an 'n m' header is an edge list, checked
-    against max_vertices before it is built; any other file holds one graph6
-    record."""
-    if token != "-" and not token.startswith("@"):
+def _read_graph(token: str, max_vertices=None, max_edges=None) -> Graph:
+    """Accept a graph6 literal, '@path' to a file, or '-' for stdin; a bare
+    '@' is the graph6 literal of K1.  A file whose first non-blank line is an
+    'n m' header is an edge list, checked against max_vertices and max_edges
+    before it is built; any other file holds one graph6 record."""
+    if token == "@" or token != "-" and not token.startswith("@"):
         return parse_graph6(token)
     text = _read_text(token if token == "-" else token[1:])
     header = next((ln for ln in text.splitlines() if ln.strip()), "")
     counts = _int_pair(header)
     if counts is not None:
+        n, m = counts
         # a header with a negative count is parse_edge_list's to reject
-        if max_vertices is not None and min(counts) >= 0 and counts[0] > max_vertices:
-            raise BudgetExceeded("edge list header names %d vertices, over the budget of %d"
-                                 % (counts[0], max_vertices))
+        if min(counts) >= 0:
+            if max_vertices is not None and n > max_vertices:
+                raise BudgetExceeded("edge list header names %d vertices, over the budget of %d"
+                                     % (n, max_vertices))
+            if max_edges is not None and m > max_edges:
+                raise BudgetExceeded("edge list header names %d edges, over the budget of %d"
+                                     % (m, max_edges))
         return parse_edge_list(text)
     records = _graph6_records(text)
     _, first = next(records, (0, None))
@@ -296,7 +301,7 @@ def _cmd_construct(args):
 
 
 def _cmd_at(args):
-    g = _read_graph(args.graph)
+    g = _read_graph(args.graph, max_edges=args.max_edges)
     inputs = {"graph": write_graph6(g)}
     budget = _budget(max_edges=args.max_edges)
     if args.number:
@@ -345,7 +350,7 @@ def _cmd_chi(args):
 
 def _cmd_critical(args):
     decide, limit = _critical_decider(args)
-    g = _read_graph(args.graph, limit.get("max_vertices"))
+    g = _read_graph(args.graph, **limit)
     ok = decide(g, args.k, **limit)
     inputs = {"graph": write_graph6(g), "k": args.k, "notion": args.notion}
     return {"critical": ok}, 0 if ok else 1, "criticality notions", inputs, _budget(**limit)

@@ -3,21 +3,60 @@
 from typing import Iterator
 
 from .errors import BudgetExceeded, PreconditionError
-from .graph import Graph, are_isomorphic
+from .graph import Graph
 
-# Enumeration is exponential in n_max; past 10 vertices the dedup buckets blow up.
+# Enumeration is exponential in n_max: the number of trees, and the time, about
+# triple from n_max = 9 to 10, and no work budget bounds it yet.
 _ENUM_VERTEX_CAP = 10
 
 
-def _attach(base: Graph, v: int, kind: str, size: int) -> Graph:
-    """Glue a new block (clique or cycle on `size` vertices) onto `base` at vertex v."""
+def _attach(base: Graph, v: int, kind: str, size: int) -> tuple[Graph, tuple[int, ...]]:
+    """Glue a new block (clique or cycle on `size` vertices) onto `base` at
+    vertex v.  Returns the new graph and the block's vertices in cycle order."""
     n = base.n + size - 1
-    ring = [v] + list(range(base.n, n))
+    ring = (v, *range(base.n, n))
     if kind == "clique":
         extra = [(ring[i], ring[j]) for i in range(size) for j in range(i + 1, size)]
     else:
         extra = [(ring[i], ring[(i + 1) % size]) for i in range(size)]
-    return Graph(n, list(base.edges()) + extra)
+    return Graph(n, list(base.edges()) + extra), ring
+
+
+def _tree_code(n: int, blocks) -> tuple:
+    """Canonical code of the connected graph on n vertices whose blocks are
+    `blocks`, a sequence of (kind, ring) with kind "clique" or "cycle" (a
+    triangle is a clique) and a cycle's ring in cycle order.  Two such graphs
+    are isomorphic exactly when their codes are equal (Aho, Hopcroft &
+    Ullman's tree code on the block-cut tree).
+
+    Rooted at vertex v, entered from block `parent`, v's code is the sorted
+    tuple of the codes of its other blocks.  A clique entered at v is
+    (0, sorted codes of its other vertices); a cycle is (1, the codes of its
+    other vertices read around the ring from v, in the direction giving the
+    smaller sequence).  The tree's code is the least code over all roots.
+    """
+    at = [[] for _ in range(n)]
+    for b, (_, ring) in enumerate(blocks):
+        for v in ring:
+            at[v].append(b)
+    memo: dict[tuple[int, int], tuple] = {}
+
+    def vertex_code(v: int, parent: int) -> tuple:
+        key = (v, parent)
+        code = memo.get(key)
+        if code is None:
+            code = memo[key] = tuple(sorted(block_code(b, v) for b in at[v] if b != parent))
+        return code
+
+    def block_code(b: int, v: int) -> tuple:
+        kind, ring = blocks[b]
+        if kind == "clique":
+            return (0, tuple(sorted(vertex_code(u, b) for u in ring if u != v)))
+        i = ring.index(v)
+        seq = tuple(vertex_code(u, b) for u in ring[i + 1:] + ring[:i])
+        return (1, min(seq, seq[::-1]))
+
+    return min(vertex_code(r, -1) for r in range(n))
 
 
 def enumerate_gallai_trees(k: int, n_max: int) -> Iterator[Graph]:
@@ -36,26 +75,23 @@ def enumerate_gallai_trees(k: int, n_max: int) -> Iterator[Graph]:
 
     # Every member arises from a smaller one by gluing a leaf block at a cut
     # vertex: cliques K_2..K_{k-1} or odd cycles (C_3 is K_3).  K_k never
-    # appears because clique blocks stop at k-1.
+    # appears because clique blocks stop at k-1.  Each graph carries its
+    # block list, so its canonical code needs no search of the graph.
     catalog = [("clique", t) for t in range(2, k)]
     catalog += [("cycle", t) for t in range(5, n_max + 1, 2)]
 
-    seen: dict[int, dict[tuple, list[Graph]]] = {n: {} for n in range(1, n_max + 1)}
-    order: dict[int, list[Graph]] = {n: [] for n in range(1, n_max + 1)}
+    seen: set[tuple[int, tuple]] = set()
+    order: dict[int, list[tuple[Graph, tuple]]] = {n: [] for n in range(1, n_max + 1)}
 
-    def register(g: Graph) -> bool:
-        key = (g.m, tuple(sorted(g.degrees())))
-        bucket = seen[g.n].setdefault(key, [])
-        for h in bucket:
-            if are_isomorphic(g, h):
-                return False
-        bucket.append(g)
-        order[g.n].append(g)
-        return True
+    def register(g: Graph, blocks: tuple) -> None:
+        key = (g.n, _tree_code(g.n, blocks))
+        if key not in seen:
+            seen.add(key)
+            order[g.n].append((g, blocks))
 
-    register(Graph(1))
+    register(Graph(1), ())
     for n in range(1, n_max + 1):
-        for g in order[n]:
+        for g, blocks in order[n]:
             yield g
             for kind, size in catalog:
                 if n + size - 1 > n_max:
@@ -63,7 +99,8 @@ def enumerate_gallai_trees(k: int, n_max: int) -> Iterator[Graph]:
                 gain = size - 1 if kind == "clique" else 2
                 for v in range(n):
                     if g.degree(v) + gain <= k - 1:
-                        register(_attach(g, v, kind, size))
+                        h, ring = _attach(g, v, kind, size)
+                        register(h, blocks + ((kind, ring),))
 
 
 def extremal_chain(k: int, m: int) -> Graph:

@@ -2,8 +2,9 @@
 
 Adjacency is kept as one integer bitmask per vertex, which keeps the exact
 set operations cheap (intersection with a candidate set is a single `&`).
-graph6 I/O implements the short form only, so parsing never yields more than
-62 vertices; graphs built programmatically may be larger.
+graph6 I/O implements the short form (n <= 62) and the long form
+(63 <= n <= 258047) of McKay's formats.txt; larger graphs are rejected on
+input and output.
 """
 
 from __future__ import annotations
@@ -164,15 +165,17 @@ class Graph:
 
 
 # ---------------------------------------------------------------------------
-# graph6 (short form, n <= 62)
+# graph6: short form n <= 62, long form '~' + n in three 6-bit bytes
 
-_G6_MAX_N = 62
+_G6_SHORT_MAX_N = 62
+_G6_MAX_N = 258047  # past it formats.txt starts '~~', a form not implemented here
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one short-form graph6 record.
+    """Decode one graph6 record, short or long form.
 
-    Raises GraphFormatError naming the byte offset of the first problem.
+    Raises GraphFormatError naming the byte offset of the first problem.  The
+    body's length is checked against the header's n before anything is built.
     """
     record = text.rstrip("\n")
     if not record:
@@ -183,30 +186,51 @@ def parse_graph6(text: str) -> Graph:
         raise GraphFormatError(f"non-ASCII character at byte offset {e.start}") from None
     first = data[0]
     if first == 126:
-        raise GraphFormatError("long-form graph6 (leading '~') unsupported at byte offset 0")
-    if not (63 <= first <= 63 + _G6_MAX_N):
+        if data[1:2] == b"~":
+            raise GraphFormatError(
+                f"graph6 with more than {_G6_MAX_N} vertices (leading '~~') "
+                "unsupported at byte offset 0"
+            )
+        if len(data) < 4:
+            raise GraphFormatError(
+                f"truncated long-form graph6 header (ends at byte offset {len(data)})"
+            )
+        n = 0
+        for i in (1, 2, 3):
+            if not (63 <= data[i] <= 126):
+                raise GraphFormatError(f"malformed graph6 header byte {data[i]} at byte offset {i}")
+            n = n << 6 | data[i] - 63
+        if n <= _G6_SHORT_MAX_N:
+            raise GraphFormatError(
+                f"long-form graph6 header names n = {n}, which takes the short form, "
+                "at byte offset 0"
+            )
+        start = 4
+    elif 63 <= first <= 63 + _G6_SHORT_MAX_N:
+        n = first - 63
+        start = 1
+    else:
         raise GraphFormatError(f"malformed graph6 header byte {first} at byte offset 0")
-    n = first - 63
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    body = data[1:]
+    body = data[start:]
     if len(body) < nbytes:
         raise GraphFormatError(
             f"truncated graph6 record: need {nbytes} body bytes, got {len(body)} "
             f"(ends at byte offset {len(data)})"
         )
     if len(body) > nbytes:
-        raise GraphFormatError(f"trailing garbage at byte offset {1 + nbytes}")
+        raise GraphFormatError(f"trailing garbage at byte offset {start + nbytes}")
     bits = []
     for i, b in enumerate(body):
         if not (63 <= b <= 126):
-            raise GraphFormatError(f"invalid graph6 body byte {b} at byte offset {1 + i}")
+            raise GraphFormatError(f"invalid graph6 body byte {b} at byte offset {start + i}")
         x = b - 63
         bits.extend((x >> shift) & 1 for shift in range(5, -1, -1))
     for j in range(nbits, len(bits)):
         if bits[j]:
             raise GraphFormatError(
-                f"nonzero padding bit at byte offset {1 + j // 6}"
+                f"nonzero padding bit at byte offset {start + j // 6}"
             )
     edges = []
     idx = 0
@@ -219,16 +243,20 @@ def parse_graph6(text: str) -> Graph:
 
 
 def write_graph6(g: Graph) -> str:
-    """Encode to short-form graph6; rejects n > 62."""
+    """Encode to graph6: the short form up to 62 vertices, then the long form;
+    rejects n > 258047."""
     if g.n > _G6_MAX_N:
-        raise GraphFormatError(f"graph6 short form supports n <= {_G6_MAX_N}, got n = {g.n}")
+        raise GraphFormatError(f"graph6 supports n <= {_G6_MAX_N}, got n = {g.n}")
+    if g.n <= _G6_SHORT_MAX_N:
+        out = [chr(63 + g.n)]
+    else:
+        out = ["~"] + [chr(63 + (g.n >> shift & 63)) for shift in (12, 6, 0)]
     bits = []
     for v in range(1, g.n):
         for u in range(v):
             bits.append(1 if g.has_edge(u, v) else 0)
     while len(bits) % 6:
         bits.append(0)
-    out = [chr(63 + g.n)]
     for i in range(0, len(bits), 6):
         x = 0
         for b in bits[i : i + 6]:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import critgraphs
 from conftest import build_charge_instance, stalled_aux_instance
-from critgraphs import Graph, extremal_chain, write_edge_list, write_graph6
+from critgraphs import Graph, extremal_chain, parse_graph6, write_edge_list, write_graph6
 from critgraphs.cli import main
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -258,6 +258,38 @@ def test_edge_list_header_over_budget_exits_before_the_body(capsys, monkeypatch,
     assert "2000000 vertices" in doc["error"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["at", "--uniform", "3"],
+        ["at", "--number"],
+        ["critical", "--k", "3", "--notion", "at"],
+    ],
+)
+def test_edge_list_header_over_edge_budget_exits_before_the_body(capsys, monkeypatch, argv):
+    # the body is malformed, so reading it would exit 3
+    monkeypatch.setattr(sys, "stdin", io.StringIO("10 2000000\nnot an edge\n"))
+    code, doc = run(capsys, argv[0], "-", *argv[1:])
+    assert code == 2
+    assert doc["budget"]["exceeded"] is True
+    assert "2000000 edges" in doc["error"]
+    # a negative count is the parser's to reject
+    monkeypatch.setattr(sys, "stdin", io.StringIO("-1 2000000\nnot an edge\n"))
+    code, doc = run(capsys, argv[0], "-", *argv[1:])
+    assert code == 3
+    assert "negative count" in doc["error"]
+
+
+def test_bare_at_sign_is_k1(capsys):
+    code, doc = run(capsys, "critical", "@", "--k", "1")
+    assert code == 0
+    assert doc["verdicts"]["critical"] is True
+    code, doc = run(capsys, "chi", "@")
+    assert code == 0
+    assert doc["verdicts"]["chromatic_number"] == 1
+    assert doc["inputs"]["graph"] == "@"
+
+
 # determinism
 
 def charge_g6():
@@ -313,6 +345,15 @@ def test_construct_chain_is_tight(capsys):
     assert (v["n"], v["edges"], v["q"]) == (20, 29, 2)
     assert v["two_norm"] == 58 and v["rhs"] == "58/1"
     assert v["tight"] is True
+
+
+def test_construct_chain_past_62_vertices_uses_long_form(capsys):
+    code, doc = run(capsys, "construct", "--kind", "chain", "--k", "7", "--m", "3")
+    assert code == 0
+    v = doc["verdicts"]
+    assert v["n"] == 78 and v["tight"] is True
+    assert v["graph6"].startswith("~")
+    assert parse_graph6(v["graph6"]) == extremal_chain(7, 3)
 
 
 def test_construct_clique_path_is_tight(capsys):

@@ -1,6 +1,7 @@
 """Gallai-tree enumeration and the two tight construction families."""
 
 from fractions import Fraction as F
+from random import Random
 
 import networkx as nx
 import pytest
@@ -11,6 +12,7 @@ from critgraphs import (
     Graph,
     PreconditionError,
     are_isomorphic,
+    block_decomposition,
     clique_path,
     contains_clique,
     enumerate_gallai_trees,
@@ -20,7 +22,12 @@ from critgraphs import (
     q_value,
     tree_bound_rhs,
 )
-from critgraphs.generators import reference_chain_5_2, reference_chain_5_3
+from critgraphs.generators import (
+    _attach,
+    _tree_code,
+    reference_chain_5_2,
+    reference_chain_5_3,
+)
 
 
 def test_enumeration_counts():
@@ -60,6 +67,85 @@ def test_enumeration_matches_atlas_filter(k):
         key = (t.n, matches[0])
         assert key not in hits  # no duplicate classes in the stream
         hits.add(key)
+
+
+def reference_gallai_trees(k, n_max):
+    """The enumeration with isomorphism buckets: a new graph is dropped when
+    are_isomorphic finds it among the earlier graphs of the same size, edge
+    count and degree sequence."""
+    catalog = [("clique", t) for t in range(2, k)]
+    catalog += [("cycle", t) for t in range(5, n_max + 1, 2)]
+    seen = {n: {} for n in range(1, n_max + 1)}
+    order = {n: [] for n in range(1, n_max + 1)}
+
+    def register(g):
+        bucket = seen[g.n].setdefault((g.m, tuple(sorted(g.degrees()))), [])
+        if not any(are_isomorphic(g, h) for h in bucket):
+            bucket.append(g)
+            order[g.n].append(g)
+
+    register(Graph(1))
+    for n in range(1, n_max + 1):
+        for g in order[n]:
+            yield g
+            for kind, size in catalog:
+                if n + size - 1 > n_max:
+                    continue
+                gain = size - 1 if kind == "clique" else 2
+                for v in range(n):
+                    if g.degree(v) + gain <= k - 1:
+                        register(_attach(g, v, kind, size)[0])
+
+
+@pytest.mark.parametrize("k", [4, 5, 6, 7])
+def test_enumeration_matches_isomorphism_reference(k):
+    """The canonical code keeps the same labelled graphs, in the same order."""
+    def listing(trees):
+        return [(g.n, sorted(g.edges())) for g in trees]
+
+    assert listing(enumerate_gallai_trees(k, 8)) == listing(reference_gallai_trees(k, 8))
+
+
+def tree_blocks(g):
+    """The (kind, ring) block list of a Gallai tree, each cycle's ring in cycle
+    order, rebuilt from its block decomposition."""
+    blocks = []
+    for b in block_decomposition(g).blocks:
+        inside = {v: [u for u in g.neighbors(v) if u in b] for v in b}
+        if all(len(nb) == len(b) - 1 for nb in inside.values()):
+            blocks.append(("clique", tuple(sorted(b))))
+            continue
+        ring = [min(b)]
+        while len(ring) < len(b):
+            ring.append(next(u for u in inside[ring[-1]] if u not in ring))
+        blocks.append(("cycle", tuple(ring)))
+    return blocks
+
+
+def test_tree_code_ignores_labels():
+    """Relabel the vertices, reorder the blocks and each clique, and rotate
+    and sometimes reflect each cycle: the code stays the same."""
+    rng = Random(8)
+    cycles = 0
+    for g in enumerate_gallai_trees(6, 8):
+        blocks = tree_blocks(g)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        moved = []
+        for kind, ring in blocks:
+            ring = [perm[v] for v in ring]
+            if kind == "clique":
+                rng.shuffle(ring)
+            else:
+                cycles += 1
+                r = rng.randrange(len(ring))
+                ring = ring[r:] + ring[:r]
+                if rng.random() < 0.5:
+                    ring.reverse()
+            moved.append((kind, tuple(ring)))
+        rng.shuffle(moved)
+        assert _tree_code(g.n, moved) == _tree_code(g.n, blocks)
+    assert cycles > 0
 
 
 def test_enumerated_trees_really_qualify():

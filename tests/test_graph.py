@@ -1,6 +1,7 @@
 """Graph container, graph6/edge-list codecs, cliques, isomorphism."""
 
 from itertools import combinations
+from random import Random
 
 import networkx as nx
 import pytest
@@ -131,8 +132,36 @@ def test_graph6_errors_carry_offsets():
 
 
 def test_graph6_size_limit():
-    with pytest.raises(GraphFormatError, match="62"):
-        write_graph6(Graph(63))
+    with pytest.raises(GraphFormatError, match="258047"):
+        write_graph6(Graph(258048))
+    with pytest.raises(GraphFormatError, match="258047"):
+        parse_graph6("~~??????")
+
+
+@pytest.mark.parametrize("n", [63, 78, 200])
+def test_graph6_long_form_matches_networkx(n):
+    rng = Random(n)
+    g = Graph(n, [p for p in combinations(range(n), 2) if rng.random() < 0.1])
+    mine = write_graph6(g)
+    theirs = nx.to_graph6_bytes(graph_to_nx(g), header=False).decode().strip()
+    assert mine == theirs and mine[0] == "~"
+    assert parse_graph6(mine) == g
+    assert nx_to_graph(nx.from_graph6_bytes(mine.encode())) == g
+
+
+def test_graph6_long_form_errors():
+    # n = 258047 promises about 5.5e9 body bytes: rejected before anything is built
+    with pytest.raises(GraphFormatError, match="truncated graph6 record"):
+        parse_graph6("~}~~" + "?" * 10)
+    with pytest.raises(GraphFormatError, match="truncated long-form graph6 header"):
+        parse_graph6("~?A")
+    with pytest.raises(GraphFormatError, match="byte offset 2"):
+        parse_graph6("~?!A")
+    with pytest.raises(GraphFormatError, match="takes the short form"):
+        parse_graph6("~??B" + "w")  # K3 in the long form
+    g = Graph.complete(63)
+    with pytest.raises(GraphFormatError, match="trailing garbage at byte offset %d" % (4 + 326)):
+        parse_graph6(write_graph6(g) + "?")
 
 
 @settings(max_examples=200, deadline=None)
