@@ -10,6 +10,7 @@ Exit codes: 0 verified/true, 1 falsified, 2 budget exceeded, 3 input error.
 
 import argparse
 import json
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -189,8 +190,14 @@ _CRITICAL = {
 
 
 def _critical_decider(args):
-    """The decider for args.notion, and its budget as keyword arguments."""
+    """The decider for args.notion, and its budget as keyword arguments.
+    A budget flag the notion does not read is an input error."""
     decide, key, default = _CRITICAL[args.notion]
+    for other in ("max_vertices", "max_edges"):
+        if other != key and getattr(args, other) is not None:
+            raise PreconditionError(
+                "--%s is not read by --notion %s" % (other.replace("_", "-"), args.notion)
+            )
     value = getattr(args, key)
     return decide, {key: default if value is None else value}
 
@@ -444,7 +451,10 @@ def _cmd_reduce_check(args):
     g = _read_graph(args.graph)
     k = args.k
     inputs = {"graph": write_graph6(g), "k": k}
-    budget = _budget(max_edges=args.max_edges, max_states=args.max_states)
+    # Lemma 5.1 runs no induced-subgraph search, so it reads no max_states
+    budget = _budget(
+        max_edges=args.max_edges, max_states=args.max_states if args.x is None else None
+    )
     if args.x is not None:
         inputs["x"] = args.x
         report = check_lemma51(g, args.x, k, max_edges=args.max_edges)
@@ -564,23 +574,27 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
 
+    def add_list_size(p):
+        # conflicting options are a usage error, not a silent choice
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--f", help="comma separated list sizes")
+        group.add_argument("--uniform", type=int)
+        return group
+
     p = add("at", _cmd_at, "orientation certificate search")
     p.add_argument("graph")
-    p.add_argument("--f", help="comma separated list sizes")
-    p.add_argument("--uniform", type=int)
-    p.add_argument("--number", action="store_true", help="compute the least uniform bound")
+    sizes = add_list_size(p)
+    sizes.add_argument("--number", action="store_true", help="compute the least uniform bound")
     p.add_argument("--max-edges", type=int, default=AT_MAX_EDGES)
 
     p = add("choose", _cmd_choose, "list-colorability decision")
     p.add_argument("graph")
-    p.add_argument("--f")
-    p.add_argument("--uniform", type=int)
+    add_list_size(p)
     p.add_argument("--max-vertices", type=int, default=CHOOSE_MAX_VERTICES)
 
     p = add("paint", _cmd_paint, "painting game decision")
     p.add_argument("graph")
-    p.add_argument("--f")
-    p.add_argument("--uniform", type=int)
+    add_list_size(p)
     p.add_argument("--max-vertices", type=int, default=PAINT_MAX_VERTICES)
 
     p = add("chi", _cmd_chi, "chromatic number")
@@ -611,8 +625,9 @@ def _build_parser() -> _Parser:
     p = add("reduce-check", _cmd_reduce_check, "reducible-configuration hypothesis check")
     p.add_argument("graph")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--x", type=int, default=None, help="single marked vertex")
-    p.add_argument("--y", help="comma separated marked vertex set")
+    marks = p.add_mutually_exclusive_group()
+    marks.add_argument("--x", type=int, default=None, help="single marked vertex")
+    marks.add_argument("--y", help="comma separated marked vertex set")
     p.add_argument("--variant", choices=("auto", *REGIMES), default="auto")
     p.add_argument("--max-edges", type=int, default=AT_MAX_EDGES)
     p.add_argument("--max-states", type=int, default=MAX_EXPLORED)
@@ -625,7 +640,15 @@ def _build_parser() -> _Parser:
 
 
 def _emit(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    try:
+        print(json.dumps(doc, indent=2, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head -1` does); the exit code still
+        # carries the verdict, and the interpreter's last flush goes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def main(argv=None) -> int:

@@ -36,46 +36,39 @@ def _check_f(g: Graph, f: FVector) -> tuple[int, ...]:
 
 
 def _colorable(g: Graph, k: int) -> bool:
+    """DSATUR backtracking with one vertex mask per colour in use."""
     if k >= g.n:
         return True
-    n = g.n
-    color = [-1] * n
-    adj = [g.adj_mask(v) for v in range(n)]
+    adj = g._adj
+    deg = g.degrees()
+    classes: list[int] = []
 
-    def pick() -> int:
-        # max saturation, then max degree among uncolored
-        best, best_key = -1, (-1, -1)
-        for v in range(n):
-            if color[v] >= 0:
-                continue
-            seen = set()
-            for u in _mask_bits(adj[v]):
-                if color[u] >= 0:
-                    seen.add(color[u])
-            key = (len(seen), g.degree(v))
-            if key > best_key:
-                best, best_key = v, key
-        return best
-
-    def bt(done: int, used: int) -> bool:
-        if done == n:
+    def bt(uncolored: int) -> bool:
+        if not uncolored:
             return True
-        v = pick()
-        forbidden = set()
-        for u in _mask_bits(adj[v]):
-            if color[u] >= 0:
-                forbidden.add(color[u])
+        # max saturation, then max degree; the first such vertex
+        v, best_key = -1, (-1, -1)
+        for u in _mask_bits(uncolored):
+            key = (sum(1 for c in classes if c & adj[u]), deg[u])
+            if key > best_key:
+                v, best_key = u, key
+        bit = 1 << v
+        rest = uncolored & ~bit
+        for i, c in enumerate(classes):
+            if c & adj[v] == 0:
+                classes[i] = c | bit
+                if bt(rest):
+                    return True
+                classes[i] = c
         # trying more than one brand-new color is a symmetric repeat
-        for c in range(min(used + 1, k)):
-            if c in forbidden:
-                continue
-            color[v] = c
-            if bt(done + 1, max(used, c + 1)):
+        if len(classes) < k:
+            classes.append(bit)
+            if bt(rest):
                 return True
-            color[v] = -1
+            classes.pop()
         return False
 
-    return bt(0, 0)
+    return bt((1 << g.n) - 1)
 
 
 def chromatic_number(g: Graph, max_vertices: int = CHI_MAX_VERTICES) -> int:
@@ -86,25 +79,22 @@ def chromatic_number(g: Graph, max_vertices: int = CHI_MAX_VERTICES) -> int:
     if g.m == 0:
         return 1
     # greedy clique gives the lower bound, greedy coloring the upper
-    order = sorted(range(g.n), key=g.degree, reverse=True)
-    clique = []
-    cmask = 0
-    for v in order:
-        if cmask & ~g.adj_mask(v) == 0:
-            clique.append(v)
-            cmask |= 1 << v
-    colors: dict[int, int] = {}
-    for v in order:
-        taken = {colors[u] for u in g.neighbors(v) if u in colors}
-        c = 0
-        while c in taken:
-            c += 1
-        colors[v] = c
-    hi = max(colors.values()) + 1
-    for k in range(len(clique), hi):
+    adj = g._adj
+    clique = 0
+    classes: list[int] = []
+    for v in sorted(range(g.n), key=g.degree, reverse=True):
+        if clique & ~adj[v] == 0:
+            clique |= 1 << v
+        for i, c in enumerate(classes):
+            if c & adj[v] == 0:
+                classes[i] = c | 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    for k in range(clique.bit_count(), len(classes)):
         if _colorable(g, k):
             return k
-    return hi
+    return len(classes)
 
 
 # ---------------------------------------------------------------------------

@@ -106,9 +106,6 @@ class Graph:
             for u in _mask_bits(self._adj[v] >> (v + 1) << (v + 1)):
                 yield (v, u)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def remove_edge(self, u: int, v: int) -> "Graph":
         if not self.has_edge(u, v):
             raise ValueError(f"no edge ({u},{v})")
@@ -345,27 +342,36 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
     return Graph(len(verts), edges), relabel
 
 
+def _expand(adj, r: int, p: int, x: int) -> Iterator[int]:
+    """Bron-Kerbosch with pivoting: the maximal cliques, as masks, that
+    contain r, lie inside r | p and meet no vertex of x."""
+    if p == 0 and x == 0:
+        yield r
+        return
+    # pivot: vertex of p|x maximizing |p & adj|
+    pivot = max(_mask_bits(p | x), key=lambda u: (p & adj[u]).bit_count())
+    for v in _mask_bits(p & ~adj[pivot]):
+        bit = 1 << v
+        yield from _expand(adj, r | bit, p & adj[v], x & adj[v])
+        p &= ~bit
+        x |= bit
+
+
+def _clique_vertices(adj, mask: int, t: int) -> int:
+    """The vertices of mask lying in at least one K_t of the subgraph induced on mask."""
+    out = 0
+    for clq in _expand(adj, 0, mask, 0):
+        if clq.bit_count() >= t:
+            out |= clq
+    return out
+
+
 def maximal_cliques(g: Graph) -> Iterator[frozenset]:
     """Bron-Kerbosch with pivoting; yields maximal cliques as frozensets."""
-    adj = g._adj
-
-    def expand(r: int, p: int, x: int):
-        if p == 0 and x == 0:
-            yield frozenset(_mask_bits(r))
-            return
-        # pivot: vertex of p|x maximizing |p & adj|
-        pool = p | x
-        pivot = max(_mask_bits(pool), key=lambda u: (p & adj[u]).bit_count())
-        cand = p & ~adj[pivot]
-        for v in _mask_bits(cand):
-            bit = 1 << v
-            yield from expand(r | bit, p & adj[v], x & adj[v])
-            p &= ~bit
-            x |= bit
-
     if g.n == 0:
         return
-    yield from expand(0, (1 << g.n) - 1, 0)
+    for clq in _expand(g._adj, 0, (1 << g.n) - 1, 0):
+        yield frozenset(_mask_bits(clq))
 
 
 def contains_clique(g: Graph, t: int) -> tuple[bool, Optional[tuple[int, ...]]]:
@@ -397,11 +403,7 @@ def contains_clique(g: Graph, t: int) -> tuple[bool, Optional[tuple[int, ...]]]:
 
 def clique_vertices(g: Graph, t: int) -> frozenset:
     """Vertices lying in at least one K_t of g."""
-    out = set()
-    for clq in maximal_cliques(g):
-        if len(clq) >= t:
-            out |= clq
-    return frozenset(out)
+    return frozenset(_mask_bits(_clique_vertices(g._adj, (1 << g.n) - 1, t)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from .errors import PreconditionError
 from .graph import Graph, contains_clique, induced_subgraph
 from .structure import AuxiliaryBipartite, build_aux_partition, eliminate, in_t_k
 
-# Default caps of _search_induced: induced subgraphs looked at, certificate searches run.
+# Caps of _search_induced: induced subgraphs looked at (the default of
+# max_explored), and certificate searches run.
 MAX_EXPLORED = 5000
 MAX_ATTEMPTS = 25
 
@@ -79,7 +80,7 @@ def check_lemma51(
     return ReducibilityReport(hyps, True, cert, "verified")
 
 
-def _search_induced(g, yset, max_edges, max_explored, max_attempts):
+def _search_induced(g, yset, max_edges, max_explored):
     """Look for an induced subgraph carrying the certificate, biggest first.
 
     Returns (f_at, certificate, kept vertices, status).  Exhausting every
@@ -108,7 +109,7 @@ def _search_induced(g, yset, max_edges, max_explored, max_attempts):
             if min(f) < 0:
                 # an isolated marked vertex would need a -1 list; hopeless
                 continue
-            if attempts >= max_attempts:
+            if attempts >= MAX_ATTEMPTS:
                 return None, None, None, "not verified: budget"
             attempts += 1
             cert = is_f_AT(sub, f, max_edges=max_edges)
@@ -122,7 +123,7 @@ def _search_induced(g, yset, max_edges, max_explored, max_attempts):
     )
 
 
-def _check_multi(g, y_vertices, k, mode, max_edges, max_explored, max_attempts):
+def _check_multi(g, y_vertices, k, mode, max_edges, max_explored):
     ys = sorted(set(y_vertices))
     for y in ys:
         if not 0 <= y < g.n:
@@ -132,9 +133,7 @@ def _check_multi(g, y_vertices, k, mode, max_edges, max_explored, max_attempts):
     hyps["aux_degrees"] = not eliminate(aux, mode).order
     if not all(hyps.values()):
         return ReducibilityReport(hyps, None, None, "hypotheses failed")
-    f_at, cert, keep, status = _search_induced(
-        g, set(ys), max_edges, max_explored, max_attempts
-    )
+    f_at, cert, keep, status = _search_induced(g, set(ys), max_edges, max_explored)
     return ReducibilityReport(hyps, f_at, cert, status, keep)
 
 
@@ -144,13 +143,12 @@ def check_lemma52(
     k: int,
     max_edges: int = AT_MAX_EDGES,
     max_explored: int = MAX_EXPLORED,
-    max_attempts: int = MAX_ATTEMPTS,
 ) -> ReducibilityReport:
     """Marked vertex set Y, both sides of the auxiliary graph of degree >= 3.
     The certificate lives on some induced subgraph, searched biggest-first."""
     if k < 7:
         raise PreconditionError("k must be at least 7", witness=k)
-    return _check_multi(g, y_vertices, k, "symmetric", max_edges, max_explored, max_attempts)
+    return _check_multi(g, y_vertices, k, "symmetric", max_edges, max_explored)
 
 
 def check_lemma53(
@@ -159,13 +157,12 @@ def check_lemma53(
     k: int,
     max_edges: int = AT_MAX_EDGES,
     max_explored: int = MAX_EXPLORED,
-    max_attempts: int = MAX_ATTEMPTS,
 ) -> ReducibilityReport:
     """Lopsided variant: marked vertices need auxiliary degree >= 4 but tree
     components only >= 2, and k = 5 or 6 are allowed."""
     if k < 5:
         raise PreconditionError("k must be at least 5", witness=k)
-    return _check_multi(g, y_vertices, k, "lopsided", max_edges, max_explored, max_attempts)
+    return _check_multi(g, y_vertices, k, "lopsided", max_edges, max_explored)
 
 
 # regime -> the checker of the configuration its elimination leaves

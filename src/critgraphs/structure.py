@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import PreconditionError
-from .graph import Graph, _component_masks, _mask_bits, clique_vertices, induced_subgraph
+from .graph import Graph, _clique_vertices, _component_masks, _mask_bits, clique_vertices
 
 
 @dataclass(frozen=True)
@@ -105,34 +105,20 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     return BlockDecomposition(blocks_sorted, frozenset(cuts), tree)
 
 
-def _is_complete_block(g: Graph, block: frozenset) -> bool:
-    b = len(block)
-    e = sum(1 for u, v in g.edges() if u in block and v in block)
-    return e == b * (b - 1) // 2
-
-
-def _is_odd_cycle_block(g: Graph, block: frozenset) -> bool:
-    b = len(block)
-    if b < 3 or b % 2 == 0:
-        return False
-    e = 0
-    for v in block:
-        d = sum(1 for u in g.neighbors(v) if u in block)
-        if d != 2:
-            return False
-        e += d
-    return e // 2 == b
-
-
 def is_gallai_tree(g: Graph) -> bool:
     """Connected, and every block is a clique or an odd cycle. K_1 counts."""
     if g.n == 0 or not g.is_connected():
         return False
-    dec = block_decomposition(g)
-    return all(
-        _is_complete_block(g, blk) or _is_odd_cycle_block(g, blk)
-        for blk in dec.blocks
-    )
+    adj = g._adj
+    for blk in block_decomposition(g).blocks:
+        mask = 0
+        for v in blk:
+            mask |= 1 << v
+        # a block is 2-connected, so all inner degrees 2 make it a cycle
+        inner = {(adj[v] & mask).bit_count() for v in blk}
+        if inner != {len(blk) - 1} and not (len(blk) % 2 and inner == {2}):
+            return False
+    return True
 
 
 def in_t_k(g: Graph, k: int) -> bool:
@@ -174,19 +160,19 @@ class LowHighSplit:
         return bool(self.sub_vertices)
 
 
-def _components_within(g: Graph, vertices) -> tuple[frozenset, ...]:
-    """Components of the subgraph induced on vertices, lowest vertex first."""
+def _components_within(g: Graph, vertices) -> list[int]:
+    """Components, as masks, of the subgraph induced on vertices, lowest vertex first."""
     mask = 0
     for v in vertices:
         mask |= 1 << v
-    return tuple(frozenset(_mask_bits(c)) for c in _component_masks(g._adj, mask))
+    return _component_masks(g._adj, mask)
 
 
 def low_high_split(g: Graph, k: int) -> LowHighSplit:
     low = [v for v in range(g.n) if g.degree(v) == k - 1]
     return LowHighSplit(
         k=k,
-        l_components=_components_within(g, low),
+        l_components=tuple(frozenset(_mask_bits(c)) for c in _components_within(g, low)),
         h_vertices=frozenset(v for v in range(g.n) if g.degree(v) == k),
         higher_vertices=frozenset(v for v in range(g.n) if g.degree(v) >= k + 1),
         sub_vertices=frozenset(v for v in range(g.n) if g.degree(v) < k - 1),
@@ -214,12 +200,6 @@ class AuxiliaryBipartite:
         return self.w_sets[i]
 
 
-def _component_w_set(g: Graph, comp: frozenset, k: int) -> frozenset:
-    sub, relabel = induced_subgraph(g, comp)
-    inv = {i: v for v, i in relabel.items()}
-    return frozenset(inv[i] for i in w_k(sub, k))
-
-
 def build_aux_partition(
     g: Graph, y_vertices, k: int, tree_vertices=None
 ) -> AuxiliaryBipartite:
@@ -234,19 +214,17 @@ def build_aux_partition(
             if not 0 <= v < g.n:
                 raise ValueError(f"vertex {v} out of range")
     comps = _components_within(g, tree_pool)
-    w_sets = tuple(_component_w_set(g, comp, k) for comp in comps)
-    edges = set()
-    for y in ys:
-        nbrs = set(g.neighbors(y))
-        for i, wset in enumerate(w_sets):
-            if nbrs & wset:
-                edges.add((y, i))
+    # W of a component is taken in the component alone: a marked vertex that
+    # completes a K_{k-1} with tree vertices does not put them in W
+    w_masks = [_clique_vertices(g._adj, comp, k - 1) for comp in comps]
     return AuxiliaryBipartite(
         k=k,
-        tree_components=comps,
-        w_sets=w_sets,
+        tree_components=tuple(frozenset(_mask_bits(c)) for c in comps),
+        w_sets=tuple(frozenset(_mask_bits(w)) for w in w_masks),
         y_vertices=tuple(ys),
-        edges=frozenset(edges),
+        edges=frozenset(
+            (y, i) for y in ys for i, w in enumerate(w_masks) if g._adj[y] & w
+        ),
     )
 
 
@@ -307,36 +285,37 @@ def eliminate(aux: AuxiliaryBipartite, mode: str) -> EliminationResult:
     (ascending component id), then y nodes of degree at most s-1 (ascending
     vertex id), repeated to a fixpoint."""
     tree_max, high_max = REGIMES[mode].c, REGIMES[mode].s - 1
-    trees = set(range(len(aux.tree_components)))
-    highs = set(aux.y_vertices)
-    edges = set(aux.edges)
+    # each side's neighbours as a mask over the other side: marked vertices
+    # by vertex id, trees by component index
+    tree_nbrs = [0] * len(aux.tree_components)
+    high_nbrs = dict.fromkeys(aux.y_vertices, 0)
+    for y, i in aux.edges:
+        tree_nbrs[i] |= 1 << y
+        high_nbrs[y] |= 1 << i
+    trees = (1 << len(tree_nbrs)) - 1
+    highs = 0
+    for y in high_nbrs:
+        highs |= 1 << y
     order: list[tuple[str, int]] = []
-
-    def tdeg(i):
-        return sum(1 for y, j in edges if j == i)
-
-    def hdeg(y):
-        return sum(1 for z, _ in edges if z == y)
-
     while trees or highs:
         removed = False
-        for i in sorted(trees):
-            if tdeg(i) <= tree_max:
-                trees.discard(i)
-                edges = {(y, j) for y, j in edges if j != i}
+        for i in _mask_bits(trees):
+            if (tree_nbrs[i] & highs).bit_count() <= tree_max:
+                trees &= ~(1 << i)
                 order.append(("tree", i))
                 removed = True
-        for y in sorted(highs):
-            if hdeg(y) <= high_max:
-                highs.discard(y)
-                edges = {(z, j) for z, j in edges if z != y}
+        for y in _mask_bits(highs):
+            if (high_nbrs[y] & trees).bit_count() <= high_max:
+                highs &= ~(1 << y)
                 order.append(("high", y))
                 removed = True
         if not removed:
             return EliminationResult(
                 tuple(order),
-                residual_trees=tuple(sorted(trees)),
-                residual_highs=tuple(sorted(highs)),
-                residual_edges=frozenset(edges),
+                residual_trees=tuple(_mask_bits(trees)),
+                residual_highs=tuple(_mask_bits(highs)),
+                residual_edges=frozenset(
+                    (y, i) for y, i in aux.edges if trees >> i & 1 and highs >> y & 1
+                ),
             )
     return EliminationResult(tuple(order))

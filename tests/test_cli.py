@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -194,6 +195,85 @@ def test_chi_any_file_bytes_prints_one_document(tmp_path_factory, data):
     code, out = _main_output(["chi", "@%s" % path])
     assert code in (0, 1, 2, 3)
     assert json.loads(out)["command"] == "chi"
+
+
+# every subcommand that reads a graph; budgets kept small for a fuzz run
+_GRAPH_ARGV = [
+    ["analyze", "--k", "{k}"],
+    ["at", "--uniform", "{u}", "--max-edges", "10"],
+    ["at", "--number", "--max-edges", "10"],
+    ["choose", "--uniform", "{u}", "--max-vertices", "7"],
+    ["paint", "--uniform", "{u}", "--max-vertices", "7"],
+    ["critical", "--k", "{k}", "--notion", "chromatic", "--max-vertices", "7"],
+    ["critical", "--k", "{k}", "--notion", "list", "--max-vertices", "7"],
+    ["critical", "--k", "{k}", "--notion", "online", "--max-vertices", "7"],
+    ["critical", "--k", "{k}", "--notion", "at", "--max-edges", "10"],
+    ["discharge", "--k", "{k}"],
+    ["reduce-check", "--k", "{k}", "--x", "0", "--max-edges", "10"],
+    ["reduce-check", "--k", "{k}", "--y", "0,1", "--max-edges", "10", "--max-states", "50"],
+]
+
+
+def _small_graph6(n, bits):
+    return write_graph6(Graph(n, [e for e, b in zip(combinations(range(n), 2), bits) if b]))
+
+
+# a token starting with '@' names a file, which the byte fuzz above covers
+_GRAPH_TOKENS = st.one_of(
+    st.text().filter(lambda t: t == "@" or not t.startswith("@")),
+    st.builds(_small_graph6, st.integers(0, 8), st.lists(st.booleans(), max_size=28)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_GRAPH_ARGV), st.integers(-1, 8), st.integers(-1, 4), _GRAPH_TOKENS)
+def test_graph_commands_print_one_document(argv, k, u, token):
+    argv = [a.format(k=k, u=u) for a in argv]
+    code, out = _main_output(argv + ["--", token])
+    assert code in (0, 1, 2, 3)
+    doc = json.loads(out)
+    assert doc["command"] == argv[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["choose", "Bw", "--f", "1,1,1", "--uniform", "3"],
+        ["paint", "Bw", "--f", "1,1,1", "--uniform", "3"],
+        ["at", "Bw", "--f", "1,1,1", "--uniform", "3"],
+        ["at", "Bw", "--number", "--f", "3,3,3"],
+        ["at", "Bw", "--number", "--uniform", "3"],
+        ["reduce-check", "Bw", "--k", "5", "--x", "0", "--y", "1"],
+        ["critical", "Bw", "--k", "3", "--max-edges", "0"],
+        ["critical", "Bw", "--k", "3", "--notion", "at", "--max-vertices", "0"],
+        ["census", "-", "--k", "3", "--notion", "list", "--max-edges", "5"],
+    ],
+)
+def test_exit_3_on_conflicting_or_unread_options(argv):
+    code, out = _main_output(argv)
+    doc = json.loads(out)
+    assert code == doc["exit"] == 3
+    assert doc["command"] == argv[0]
+
+
+def test_closed_stdout_keeps_the_exit_code():
+    """A reader that closes stdout early, as `| head -1` does, gets the
+    verdict's exit code and no traceback."""
+    src = str(Path(critgraphs.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = "import sys\nfrom critgraphs.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    for argv, expect in ((["bounds"], 0), (["at", "Bw", "--uniform", "1"], 1)):
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()  # before the child has started to write
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == expect
+        assert err == b""
 
 
 # input forms
@@ -445,6 +525,8 @@ def test_reduce_check_single_verified(capsys):
     assert doc["verdicts"]["status"] == "verified"
     assert doc["verdicts"]["certificate"]["ee"] != doc["verdicts"]["certificate"]["eo"]
     assert doc["paper_anchor"] == "Lemma 5.1"
+    # Lemma 5.1 runs no induced-subgraph search, so no state budget applies
+    assert doc["budget"]["max_states"] is None
 
 
 def test_reduce_check_budget_exit(capsys):
@@ -471,6 +553,7 @@ def test_reduce_check_marked_set(capsys):
     assert doc["verdicts"]["hypotheses"]["aux_degrees"] is False
     assert doc["paper_anchor"] == "Lemma 5.3"
     assert doc["verdicts"]["status"] == "hypotheses failed"
+    assert doc["budget"]["max_states"] == critgraphs.reducible.MAX_EXPLORED
 
 
 @pytest.mark.parametrize("k,anchor", [(6, "Lemma 5.3"), (7, "Lemma 5.2"), (8, "Lemma 5.2")])

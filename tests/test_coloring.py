@@ -56,6 +56,66 @@ def test_chromatic_against_brute_force():
         assert chromatic_number(g) == chi_oracle(g)
 
 
+def reference_chromatic_number(g):
+    """χ by DSATUR on a colour array, with sets of neighbour colours."""
+    if g.n == 0:
+        return 0
+    if g.m == 0:
+        return 1
+    n = g.n
+
+    def colorable(k):
+        if k >= n:
+            return True
+        color = [-1] * n
+
+        def pick():
+            best, best_key = -1, (-1, -1)
+            for v in range(n):
+                if color[v] < 0:
+                    seen = {color[u] for u in g.neighbors(v) if color[u] >= 0}
+                    key = (len(seen), g.degree(v))
+                    if key > best_key:
+                        best, best_key = v, key
+            return best
+
+        def bt(done, used):
+            if done == n:
+                return True
+            v = pick()
+            forbidden = {color[u] for u in g.neighbors(v) if color[u] >= 0}
+            for c in range(min(used + 1, k)):
+                if c not in forbidden:
+                    color[v] = c
+                    if bt(done + 1, max(used, c + 1)):
+                        return True
+                    color[v] = -1
+            return False
+
+        return bt(0, 0)
+
+    order = sorted(range(n), key=g.degree, reverse=True)
+    clique, colors = [], {}
+    for v in order:
+        if all(g.has_edge(u, v) for u in clique):
+            clique.append(v)
+        taken = {colors[u] for u in g.neighbors(v) if u in colors}
+        colors[v] = min(c for c in range(n + 1) if c not in taken)
+    hi = max(colors.values()) + 1
+    return next((k for k in range(len(clique), hi) if colorable(k)), hi)
+
+
+def test_chromatic_matches_reference():
+    rng = random.Random(2016)
+    graphs = connected_atlas(7)
+    for _ in range(200):
+        n = rng.randint(8, 12)
+        p = rng.choice((0.25, 0.4, 0.55, 0.7))
+        graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    for g in graphs:
+        assert chromatic_number(g) == reference_chromatic_number(g)
+
+
 def test_chromatic_fixtures():
     assert chromatic_number(Graph(1)) == 1
     assert chromatic_number(Graph.cycle(6)) == 2

@@ -16,6 +16,7 @@ from critgraphs import (
     build_auxiliary,
     clique_path,
     eliminate,
+    enumerate_gallai_trees,
     extremal_chain,
     in_t_k,
     is_gallai_tree,
@@ -23,7 +24,7 @@ from critgraphs import (
     q_value,
     w_k,
 )
-from critgraphs.structure import AuxiliaryBipartite
+from critgraphs.structure import REGIMES, AuxiliaryBipartite, EliminationResult
 
 
 # block decomposition, oracled against networkx
@@ -87,7 +88,8 @@ def nx_gallai(g):
 
 
 def test_gallai_matches_block_definition():
-    for g in connected_atlas(7):
+    trees = [t for k in (4, 5, 6, 7) for t in enumerate_gallai_trees(k, 8)]
+    for g in connected_atlas(7) + trees:
         assert is_gallai_tree(g) == nx_gallai(g)
 
 
@@ -121,9 +123,11 @@ def test_in_t_k_excludes_the_full_clique():
 
 # W and q
 
-def nx_w(g, k):
+def nx_w(g, k, part=None):
+    """W of g, or of the subgraph induced on part alone, by networkx."""
+    h = graph_to_nx(g)
     out = set()
-    for c in nx.find_cliques(graph_to_nx(g)):
+    for c in nx.find_cliques(h if part is None else h.subgraph(part)):
         if len(c) >= k - 1:
             out |= set(c)
     return frozenset(out)
@@ -242,6 +246,25 @@ def test_aux_partition_accepts_explicit_sides():
             build_aux_partition(g, [3], 5, bad)
 
 
+def test_aux_w_sets_match_networkx():
+    # tree part {0,1,2,3}: a triangle 0,1,2 and a pendant 3; marked vertex 4
+    # completes the triangle to a K4, so W(G) meets the part but W(G[part]) is empty
+    g = Graph(9, [(0, 1), (0, 2), (1, 2), (2, 3), (4, 0), (4, 1), (4, 2), (4, 5)]
+              + [(a, b) for a in range(5, 9) for b in range(a + 1, 9)])
+    aux = build_aux_partition(g, [4], 5)
+    assert aux.tree_components == (frozenset({0, 1, 2, 3}), frozenset({5, 6, 7, 8}))
+    assert w_k(g, 5) & aux.tree_components[0] == frozenset({0, 1, 2})
+    assert aux.w_sets == (frozenset(), frozenset({5, 6, 7, 8}))
+    assert aux.edges == frozenset({(4, 1)})
+    rng = random.Random(9)
+    for g in [g] + connected_atlas(7, 5):
+        for k in (4, 5):
+            marked = rng.sample(range(g.n), rng.randint(1, 3))
+            aux = build_aux_partition(g, marked, k)
+            for comp, w in zip(aux.tree_components, aux.w_sets):
+                assert w == nx_w(g, k, comp)
+
+
 def synthetic_aux(t, ys, edges):
     return AuxiliaryBipartite(
         k=5,
@@ -352,3 +375,56 @@ def test_failed_elimination_residual_degrees(t, ys, data):
             assert sum(1 for _, j in res.residual_edges if j == i) >= tree_floor
         for y in res.residual_highs:
             assert sum(1 for z, _ in res.residual_edges if z == y) >= high_floor
+
+
+def reference_eliminate(aux, mode):
+    """The elimination as written on sets of (y, component) pairs."""
+    tree_max, high_max = REGIMES[mode].c, REGIMES[mode].s - 1
+    trees = set(range(len(aux.tree_components)))
+    highs = set(aux.y_vertices)
+    edges = set(aux.edges)
+    order = []
+    while trees or highs:
+        removed = False
+        for i in sorted(trees):
+            if sum(1 for y, j in edges if j == i) <= tree_max:
+                trees.discard(i)
+                edges = {(y, j) for y, j in edges if j != i}
+                order.append(("tree", i))
+                removed = True
+        for y in sorted(highs):
+            if sum(1 for z, _ in edges if z == y) <= high_max:
+                highs.discard(y)
+                edges = {(z, j) for z, j in edges if z != y}
+                order.append(("high", y))
+                removed = True
+        if not removed:
+            return EliminationResult(
+                tuple(order),
+                residual_trees=tuple(sorted(trees)),
+                residual_highs=tuple(sorted(highs)),
+                residual_edges=frozenset(edges),
+            )
+    return EliminationResult(tuple(order))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 7),
+    st.lists(st.integers(0, 40), unique=True, max_size=7),
+    st.data(),
+    st.sampled_from(sorted(REGIMES)),
+)
+def test_elimination_matches_reference(t, ys, data, mode):
+    cells = [(y, i) for y in ys for i in range(t)]
+    # a cell per coin flip, so that dense graphs, which stall, come up often
+    flips = data.draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    edges = [cell for cell, flip in zip(cells, flips) if flip]
+    aux = AuxiliaryBipartite(
+        k=5,
+        tree_components=tuple(frozenset({i}) for i in range(t)),
+        w_sets=tuple(frozenset({i}) for i in range(t)),
+        y_vertices=tuple(sorted(ys)),
+        edges=frozenset(edges),
+    )
+    assert eliminate(aux, mode) == reference_eliminate(aux, mode)
