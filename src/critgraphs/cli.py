@@ -451,11 +451,12 @@ def _cmd_reduce_check(args):
     g = _read_graph(args.graph)
     k = args.k
     inputs = {"graph": write_graph6(g), "k": k}
-    # Lemma 5.1 runs no induced-subgraph search, so it reads no max_states
-    budget = _budget(
-        max_edges=args.max_edges, max_states=args.max_states if args.x is None else None
-    )
     if args.x is not None:
+        # Lemma 5.1 has no regime and runs no induced-subgraph search
+        for flag in ("variant", "max_states"):
+            if getattr(args, flag) is not None:
+                raise PreconditionError("--%s is not read by --x" % flag.replace("_", "-"))
+        budget = _budget(max_edges=args.max_edges)
         inputs["x"] = args.x
         report = check_lemma51(g, args.x, k, max_edges=args.max_edges)
         anchor = "Lemma 5.1"
@@ -464,9 +465,11 @@ def _cmd_reduce_check(args):
             raise PreconditionError("give --x or --y")
         ys = _int_list(args.y, "y")
         inputs["y"] = ys
-        mode = regime(k, args.variant)
+        mode = regime(k, args.variant or "auto")
+        max_states = MAX_EXPLORED if args.max_states is None else args.max_states
+        budget = _budget(max_edges=args.max_edges, max_states=max_states)
         report = MARKED_SET_CHECKS[mode](
-            g, ys, k, max_edges=args.max_edges, max_explored=args.max_states
+            g, ys, k, max_edges=args.max_edges, max_explored=max_states
         )
         anchor = REGIMES[mode].lemma
     verdicts = {
@@ -628,9 +631,10 @@ def _build_parser() -> _Parser:
     marks = p.add_mutually_exclusive_group()
     marks.add_argument("--x", type=int, default=None, help="single marked vertex")
     marks.add_argument("--y", help="comma separated marked vertex set")
-    p.add_argument("--variant", choices=("auto", *REGIMES), default="auto")
+    # unset, these take "auto" and MAX_EXPLORED under --y; --x reads neither
+    p.add_argument("--variant", choices=("auto", *REGIMES), default=None)
     p.add_argument("--max-edges", type=int, default=AT_MAX_EDGES)
-    p.add_argument("--max-states", type=int, default=MAX_EXPLORED)
+    p.add_argument("--max-states", type=int, default=None)
 
     p = add("census", _cmd_census, "scan a graph6 stream for critical graphs")
     p.add_argument("stream", help="file of graph6 records, or - for stdin")

@@ -13,8 +13,8 @@ from typing import Optional, Union
 
 from .bounds import BoundParams, check_regime, epsilon
 from .errors import EliminationFailed, PreconditionError
-from .graph import Graph, contains_clique, induced_subgraph
-from .structure import REGIMES, build_auxiliary, eliminate, in_t_k, low_high_split, q_value, regime
+from .graph import Graph, _clique_vertices, _vertex_mask
+from .structure import REGIMES, _in_t_k, _q, build_auxiliary, eliminate, low_high_split, regime
 
 Node = Union[int, str]
 
@@ -72,8 +72,7 @@ def _check_degrees_and_trees(g: Graph, k: int):
             )
     split = low_high_split(g, k)
     for comp in split.l_components:
-        sub, _ = induced_subgraph(g, comp)
-        if not in_t_k(sub, k):
+        if not _in_t_k(g._adj, _vertex_mask(comp), k):
             raise PreconditionError(
                 "a component of the degree-(k-1) subgraph falls outside the "
                 "clique-or-odd-cycle-block family",
@@ -283,16 +282,18 @@ def tree_charge_audit(
     c is the mode's count of gammas a tree may miss (structure.REGIMES)."""
     k = params.k
     members = sorted(component)
-    sub, _ = induced_subgraph(g, members)
-    if not in_t_k(sub, k):
+    adj, mask = g._adj, _vertex_mask(members)
+    if not _in_t_k(adj, mask, k):
         raise PreconditionError("component outside the tree family", witness=members)
-    q = q_value(sub, k)
-    a_val = (k - 1) * len(members) - 2 * sub.m - q
+    q = _q(adj, mask, k)
+    # 2|E(T)| is the sum of the degrees inside T
+    two_m = sum((adj[v] & mask).bit_count() for v in members)
+    a_val = (k - 1) * len(members) - two_m - q
     received = sum(
         (ledger.inflow(v, _RECEIVE_RULES) for v in members), Fraction(0)
     )
     floor = params.epsilon * (2 - params.bp.p) * len(members)
-    has_clique = contains_clique(sub, k - 1)[0]
+    has_clique = _clique_vertices(adj, mask, k - 1) != 0
     if has_clique:
         lower = params.epsilon * a_val + params.gamma * (q - REGIMES[params.mode].c)
     else:

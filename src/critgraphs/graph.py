@@ -26,6 +26,14 @@ def _mask_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _vertex_mask(vertices: Iterable[int]) -> int:
+    """The mask whose set bits are vertices."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
 def _reach(adj, start_mask: int, within_mask: int) -> int:
     """Vertices reachable from start_mask by paths inside within_mask."""
     seen = frontier = start_mask
@@ -376,29 +384,10 @@ def maximal_cliques(g: Graph) -> Iterator[frozenset]:
 
 def contains_clique(g: Graph, t: int) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Does g contain K_t? Returns (answer, witness vertex tuple or None)."""
-    if t <= 0:
-        return True, ()
-    if t == 1:
-        return (g.n >= 1, (0,) if g.n else None)
-    best: Optional[tuple[int, ...]] = None
-
-    def grow(r: list[int], p: int):
-        nonlocal best
-        if best is not None:
-            return
-        if len(r) == t:
-            best = tuple(r)
-            return
-        if len(r) + p.bit_count() < t:
-            return
-        for v in _mask_bits(p):
-            grow(r + [v], p & g._adj[v])
-            if best is not None:
-                return
-            p &= ~(1 << v)
-
-    grow([], (1 << g.n) - 1)
-    return (best is not None), best
+    for clq in _expand(g._adj, 0, (1 << g.n) - 1, 0):
+        if clq.bit_count() >= t:
+            return True, tuple(_mask_bits(clq))[:max(t, 0)]
+    return False, None
 
 
 def clique_vertices(g: Graph, t: int) -> frozenset:

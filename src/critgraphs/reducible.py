@@ -13,8 +13,8 @@ from typing import Dict, Optional, Tuple
 
 from .coloring import AT_MAX_EDGES, ATCertificate, is_f_AT
 from .errors import PreconditionError
-from .graph import Graph, contains_clique, induced_subgraph
-from .structure import AuxiliaryBipartite, build_aux_partition, eliminate, in_t_k
+from .graph import Graph, _vertex_mask, contains_clique, induced_subgraph
+from .structure import AuxiliaryBipartite, _in_t_k, build_aux_partition, eliminate
 
 # Caps of _search_induced: induced subgraphs looked at (the default of
 # max_explored), and certificate searches run.
@@ -43,7 +43,7 @@ def _common_hypotheses(g: Graph, marked, k: int) -> tuple[AuxiliaryBipartite, Di
     hyps = {
         "no_Kk": not contains_clique(g, k)[0],
         "parts_in_Tk": all(
-            in_t_k(induced_subgraph(g, comp)[0], k) for comp in aux.tree_components
+            _in_t_k(g._adj, _vertex_mask(comp), k) for comp in aux.tree_components
         ),
         "outside_degree_cap": all(
             g.degree(v) <= k - 1 for v in range(g.n) if v not in marked

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import PreconditionError
-from .graph import Graph, _clique_vertices, _component_masks, _mask_bits, clique_vertices
+from .graph import Graph, _clique_vertices, _component_masks, _mask_bits, _vertex_mask, clique_vertices
 
 
 @dataclass(frozen=True)
@@ -25,112 +25,126 @@ class BlockDecomposition:
     block_tree: tuple[tuple[int, int], ...]  # (block index, cut vertex)
 
 
+def _blocks(adj, mask: int) -> Optional[tuple[list[int], int]]:
+    """Blocks, as masks, and the cut-vertex mask of the subgraph induced on
+    mask; None if that subgraph is disconnected.
+
+    Tarjan's depth-first search from the lowest vertex of mask, taking
+    neighbours ascending.  A vertex's low point may come from its parent,
+    which leaves the test low[child] >= disc[parent] exact for blocks.
+    """
+    if not mask:
+        return [], 0
+    root = (mask & -mask).bit_length() - 1
+    disc = {root: 0}
+    low = {root: 0}
+    path = [root]  # visited vertices not yet closed into a block
+    stack = [(root, _mask_bits(adj[root] & mask))]
+    blocks: list[int] = []
+    cuts = 0
+    root_children = 0
+    while stack:
+        v, nbrs = stack[-1]
+        for w in nbrs:
+            if w not in disc:
+                disc[w] = low[w] = len(disc)
+                path.append(w)
+                stack.append((w, _mask_bits(adj[w] & mask)))
+                root_children += v == root
+                break
+            low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:
+                    # u separates the subtree at v: pop it as one block with u
+                    blk = 1 << u
+                    while True:
+                        x = path.pop()
+                        blk |= 1 << x
+                        if x == v:
+                            break
+                    blocks.append(blk)
+                    if u != root:
+                        cuts |= 1 << u
+    if len(disc) != mask.bit_count():
+        return None
+    if root_children >= 2:
+        cuts |= 1 << root
+    return blocks, cuts
+
+
+def _connected_blocks(adj, mask: int) -> tuple[list[int], int]:
+    """_blocks of mask; raises PreconditionError if mask is disconnected."""
+    found = _blocks(adj, mask)
+    if found is None:
+        comps = _component_masks(adj, mask)
+        raise PreconditionError(
+            f"graph is disconnected ({len(comps)} components); decompose per component",
+            witness=tuple((c & -c).bit_length() - 1 for c in comps),
+        )
+    return found
+
+
 def block_decomposition(g: Graph) -> BlockDecomposition:
     """Biconnected components of a connected graph.
 
     Raises PreconditionError on disconnected input; callers should split into
     components first.
     """
-    if g.n == 0:
-        return BlockDecomposition((), frozenset(), ())
-    comps = g.components()
-    if len(comps) > 1:
-        raise PreconditionError(
-            f"graph is disconnected ({len(comps)} components); decompose per component",
-            witness=tuple(sorted(min(c) for c in comps)),
-        )
-    if g.n == 1:
-        return BlockDecomposition((), frozenset(), ())
-
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    edge_stack: list[tuple[int, int]] = []
-    blocks: list[frozenset] = []
-    cuts: set[int] = set()
-    timer = 0
-
-    def pop_block(u: int, v: int) -> None:
-        verts = set()
-        while True:
-            e = edge_stack.pop()
-            verts.update(e)
-            if e == (u, v):
-                break
-        blocks.append(frozenset(verts))
-
-    # explicit stack DFS from 0, neighbors ascending
-    stack: list[tuple[int, iter]] = []
-    disc[0] = low[0] = timer
-    timer += 1
-    stack.append((0, iter(g.neighbors(0))))
-    root_children = 0
-    while stack:
-        v, it = stack[-1]
-        advanced = False
-        for w in it:
-            if disc[w] < 0:
-                parent[w] = v
-                edge_stack.append((v, w))
-                disc[w] = low[w] = timer
-                timer += 1
-                stack.append((w, iter(g.neighbors(w))))
-                if v == 0:
-                    root_children += 1
-                advanced = True
-                break
-            elif w != parent[v] and disc[w] < disc[v]:
-                edge_stack.append((v, w))
-                low[v] = min(low[v], disc[w])
-        if not advanced:
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] >= disc[u]:
-                    if u != 0:
-                        cuts.add(u)
-                    pop_block(u, v)
-    if root_children >= 2:
-        cuts.add(0)
-
-    order = sorted(range(len(blocks)), key=lambda i: sorted(blocks[i]))
-    blocks_sorted = tuple(blocks[i] for i in order)
-    tree = tuple(
-        (bi, c)
-        for bi, blk in enumerate(blocks_sorted)
-        for c in sorted(blk & cuts)
+    blocks, cuts = _connected_blocks(g._adj, (1 << g.n) - 1)
+    verts = sorted(list(_mask_bits(b)) for b in blocks)
+    return BlockDecomposition(
+        tuple(frozenset(b) for b in verts),
+        frozenset(_mask_bits(cuts)),
+        tuple((i, c) for i, b in enumerate(verts) for c in b if cuts >> c & 1),
     )
-    return BlockDecomposition(blocks_sorted, frozenset(cuts), tree)
+
+
+def _is_gallai(adj, mask: int) -> bool:
+    """The subgraph induced on mask is nonempty, connected, and every block
+    is a clique or an odd cycle."""
+    found = _blocks(adj, mask) if mask else None
+    if found is None:
+        return False
+    for blk in found[0]:
+        size = blk.bit_count()
+        # a block is 2-connected, so all inner degrees 2 make it a cycle
+        inner = {(adj[v] & blk).bit_count() for v in _mask_bits(blk)}
+        if inner != {size - 1} and not (size % 2 and inner == {2}):
+            return False
+    return True
+
+
+def _in_t_k(adj, mask: int, k: int) -> bool:
+    """The subgraph induced on mask is a Gallai tree of maximum degree
+    <= k-1 other than K_k."""
+    degrees = [(adj[v] & mask).bit_count() for v in _mask_bits(mask)]
+    if not degrees or max(degrees) > k - 1:
+        return False
+    if len(degrees) == k and sum(degrees) == k * (k - 1):
+        return False
+    return _is_gallai(adj, mask)
+
+
+def _q(adj, mask: int, k: int) -> int:
+    """q of the subgraph induced on mask, which must be connected: its
+    vertices in some K_{k-1} that are not cut vertices."""
+    _, cuts = _connected_blocks(adj, mask)
+    return (_clique_vertices(adj, mask, k - 1) & ~cuts).bit_count()
 
 
 def is_gallai_tree(g: Graph) -> bool:
     """Connected, and every block is a clique or an odd cycle. K_1 counts."""
-    if g.n == 0 or not g.is_connected():
-        return False
-    adj = g._adj
-    for blk in block_decomposition(g).blocks:
-        mask = 0
-        for v in blk:
-            mask |= 1 << v
-        # a block is 2-connected, so all inner degrees 2 make it a cycle
-        inner = {(adj[v] & mask).bit_count() for v in blk}
-        if inner != {len(blk) - 1} and not (len(blk) % 2 and inner == {2}):
-            return False
-    return True
+    return _is_gallai(g._adj, (1 << g.n) - 1)
 
 
 def in_t_k(g: Graph, k: int) -> bool:
     """Member of the k-bounded Gallai-tree family: Gallai tree, max degree
     <= k-1, and not K_k itself."""
-    if g.n == 0:
-        return False
-    if any(g.degree(v) > k - 1 for v in range(g.n)):
-        return False
-    if g.n == k and g.m == k * (k - 1) // 2:
-        return False
-    return is_gallai_tree(g)
+    return _in_t_k(g._adj, (1 << g.n) - 1, k)
 
 
 def w_k(g: Graph, k: int) -> frozenset:
@@ -140,8 +154,7 @@ def w_k(g: Graph, k: int) -> frozenset:
 
 def q_value(g: Graph, k: int) -> int:
     """Number of non-cut vertices among those in some K_{k-1}."""
-    dec = block_decomposition(g)
-    return len(w_k(g, k) - dec.cut_vertices)
+    return _q(g._adj, (1 << g.n) - 1, k)
 
 
 @dataclass(frozen=True)
@@ -160,19 +173,11 @@ class LowHighSplit:
         return bool(self.sub_vertices)
 
 
-def _components_within(g: Graph, vertices) -> list[int]:
-    """Components, as masks, of the subgraph induced on vertices, lowest vertex first."""
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return _component_masks(g._adj, mask)
-
-
 def low_high_split(g: Graph, k: int) -> LowHighSplit:
     low = [v for v in range(g.n) if g.degree(v) == k - 1]
     return LowHighSplit(
         k=k,
-        l_components=tuple(frozenset(_mask_bits(c)) for c in _components_within(g, low)),
+        l_components=tuple(frozenset(_mask_bits(c)) for c in _component_masks(g._adj, _vertex_mask(low))),
         h_vertices=frozenset(v for v in range(g.n) if g.degree(v) == k),
         higher_vertices=frozenset(v for v in range(g.n) if g.degree(v) >= k + 1),
         sub_vertices=frozenset(v for v in range(g.n) if g.degree(v) < k - 1),
@@ -213,7 +218,7 @@ def build_aux_partition(
         for v in tree_pool:
             if not 0 <= v < g.n:
                 raise ValueError(f"vertex {v} out of range")
-    comps = _components_within(g, tree_pool)
+    comps = _component_masks(g._adj, _vertex_mask(tree_pool))
     # W of a component is taken in the component alone: a marked vertex that
     # completes a K_{k-1} with tree vertices does not put them in W
     w_masks = [_clique_vertices(g._adj, comp, k - 1) for comp in comps]

@@ -235,9 +235,14 @@ def test_maximal_cliques_match_networkx():
 
 
 def test_contains_clique_matches_networkx():
-    for g in connected_atlas(6):
-        omega = max(len(c) for c in nx.find_cliques(graph_to_nx(g)))
-        for t in range(1, 7):
+    rng = Random(11)
+    randoms = []
+    for n in range(8, 15):
+        for p in (0.3, 0.5, 0.7) * 6:
+            randoms.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    for g in connected_atlas(6) + randoms:
+        omega = max((len(c) for c in nx.find_cliques(graph_to_nx(g))), default=0)
+        for t in range(0, 8):
             found, witness = contains_clique(g, t)
             assert found == (t <= omega)
             if found:

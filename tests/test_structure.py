@@ -1,6 +1,7 @@
 """Blocks, Gallai trees, degree splits, the auxiliary bipartite graph."""
 
 import random
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -19,12 +20,21 @@ from critgraphs import (
     enumerate_gallai_trees,
     extremal_chain,
     in_t_k,
+    induced_subgraph,
     is_gallai_tree,
     low_high_split,
     q_value,
     w_k,
 )
-from critgraphs.structure import REGIMES, AuxiliaryBipartite, EliminationResult
+from critgraphs.graph import _mask_bits
+from critgraphs.structure import (
+    REGIMES,
+    AuxiliaryBipartite,
+    EliminationResult,
+    _blocks,
+    _in_t_k,
+    _q,
+)
 
 
 # block decomposition, oracled against networkx
@@ -69,6 +79,33 @@ def test_single_vertex_has_no_blocks():
 def test_blocks_reject_disconnected():
     with pytest.raises(PreconditionError):
         block_decomposition(Graph(4, [(0, 1), (2, 3)]))
+
+
+# questions asked of a vertex mask, oracled against the induced copy
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_mask_answers_match_the_induced_copy(n, data):
+    pairs = list(combinations(range(n), 2))
+    bits = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(n, [e for e, b in zip(pairs, bits) if b])
+    mask = data.draw(st.integers(1, (1 << n) - 1), label="mask")
+    verts = list(_mask_bits(mask))
+    sub, _ = induced_subgraph(g, verts)
+    found = _blocks(g._adj, mask)
+    for k in range(1, 9):
+        assert _in_t_k(g._adj, mask, k) == in_t_k(sub, k)
+    if not sub.is_connected():
+        assert found is None
+        return
+    bd = block_decomposition(sub)
+    blocks, cuts = found
+    assert sorted(list(_mask_bits(b)) for b in blocks) == sorted(
+        sorted(verts[v] for v in b) for b in bd.blocks
+    )
+    assert frozenset(_mask_bits(cuts)) == frozenset(verts[v] for v in bd.cut_vertices)
+    for k in range(1, 9):
+        assert _q(g._adj, mask, k) == q_value(sub, k)
 
 
 # Gallai trees
