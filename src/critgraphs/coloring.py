@@ -347,35 +347,44 @@ def ee_eo(d: Orientation, max_arcs: int = EE_EO_MAX_ARCS) -> tuple[int, int]:
     m = len(arcs)
     if m > max_arcs:
         raise BudgetExceeded("ee_eo limited to %d arcs" % max_arcs)
-    last = {}
-    for i, (u, v) in enumerate(arcs):
-        last[u] = i
-        last[v] = i
-    # frontier DP over arcs; key = imbalances of vertices with arcs still ahead
-    states: dict[tuple[tuple[int, int], ...], tuple[int, int]] = {(): (1, 0)}
-    for i, (u, v) in enumerate(arcs):
-        nxt: dict[tuple, tuple[int, int]] = {}
+    left = [0] * d.base.n
+    for u, v in arcs:
+        left[u] += 1
+        left[v] += 1
+    # Frontier DP over arcs.  A state packs every imbalance out - in into one
+    # int: vertex v owns `width` bits at width * v holding imbalance + off, and
+    # |imbalance| <= deg(v) < off, so taking u -> v adds (1 << su) - (1 << sv)
+    # and no field ever borrows from its neighbour.  An
+    # arc moves an imbalance by at most one, so a state whose imbalance at an
+    # endpoint exceeds the arcs left there can never balance and is dropped.
+    width = max(left, default=0).bit_length() + 1
+    off = 1 << (width - 1)
+    field = (1 << width) - 1
+    start = sum(off << (width * v) for v in range(d.base.n))
+    states: dict[int, tuple[int, int]] = {start: (1, 0)}
+    for u, v in arcs:
+        left[u] -= 1
+        left[v] -= 1
+        su, sv = width * u, width * v
+        step = (1 << su) - (1 << sv)
+        lo_u, hi_u = off - left[u], off + left[u]
+        lo_v, hi_v = off - left[v], off + left[v]
+        nxt: dict[int, tuple[int, int]] = {}
         for key, (e, o) in states.items():
-            imb = dict(key)
-            for take in (False, True):
-                cur = dict(imb)
-                ce, co = (e, o) if not take else (o, e)
-                if take:
-                    cur[u] = cur.get(u, 0) + 1
-                    cur[v] = cur.get(v, 0) - 1
-                ok = True
-                for w in (u, v):
-                    if last[w] == i:
-                        if cur.pop(w, 0) != 0:
-                            ok = False
-                            break
-                if not ok:
-                    continue
-                nk = tuple(sorted(cur.items()))
-                pe, po = nxt.get(nk, (0, 0))
-                nxt[nk] = (pe + ce, po + co)
+            fu = (key >> su) & field
+            fv = (key >> sv) & field
+            # leave the arc out: the counts keep their parity
+            if lo_u <= fu <= hi_u and lo_v <= fv <= hi_v:
+                pe, po = nxt.get(key, (0, 0))
+                nxt[key] = (pe + e, po + o)
+            # take it: one more arc swaps even and odd
+            if lo_u <= fu + 1 <= hi_u and lo_v <= fv - 1 <= hi_v:
+                key += step
+                pe, po = nxt.get(key, (0, 0))
+                nxt[key] = (pe + o, po + e)
         states = nxt
-    return states.get((), (0, 0))
+    # every vertex is retired now, so only the balanced state `start` is left
+    return states.get(start, (0, 0))
 
 
 def ee_eo_poly(d: Orientation, max_arcs: int = EE_EO_MAX_ARCS) -> int:

@@ -9,6 +9,7 @@ input and output.
 
 from __future__ import annotations
 
+import base64
 import re
 from itertools import combinations
 from typing import Iterable, Iterator, Optional
@@ -174,6 +175,9 @@ class Graph:
 
 _G6_SHORT_MAX_N = 62
 _G6_MAX_N = 258047  # past it formats.txt starts '~~', a form not implemented here
+_G6_FROM_BASE64 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+)
 
 
 def parse_graph6(text: str) -> Graph:
@@ -256,17 +260,15 @@ def write_graph6(g: Graph) -> str:
         out = [chr(63 + g.n)]
     else:
         out = ["~"] + [chr(63 + (g.n >> shift & 63)) for shift in (12, 6, 0)]
-    bits = []
-    for v in range(1, g.n):
-        for u in range(v):
-            bits.append(1 if g.has_edge(u, v) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    for i in range(0, len(bits), 6):
-        x = 0
-        for b in bits[i : i + 6]:
-            x = (x << 1) | b
-        out.append(chr(63 + x))
+    # column v holds the bits of u = 0 .. v-1, read off adj[v] lowest first
+    bits = "".join(format(g._adj[v] & ((1 << v) - 1), "0%db" % v)[::-1] for v in range(1, g.n))
+    # the body is the bits in big-endian groups of six, each written as
+    # chr(63 + group): base64 under another alphabet, so pad to whole
+    # 24-bit base64 quanta and keep the characters the bits need
+    chars = -(-len(bits) // 6)
+    bits += "0" * (-len(bits) % 24)
+    data = int(bits, 2).to_bytes(len(bits) // 8, "big") if bits else b""
+    out.append(base64.b64encode(data).translate(_G6_FROM_BASE64)[:chars].decode("ascii"))
     return "".join(out)
 
 
@@ -350,9 +352,13 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
     return Graph(len(verts), edges), relabel
 
 
-def _expand(adj, r: int, p: int, x: int) -> Iterator[int]:
+def _expand(adj, r: int, p: int, x: int, t: int = 0) -> Iterator[int]:
     """Bron-Kerbosch with pivoting: the maximal cliques, as masks, that
-    contain r, lie inside r | p and meet no vertex of x."""
+    contain r, lie inside r | p and meet no vertex of x.  A branch whose
+    r | p has fewer than t vertices is cut, which drops only cliques smaller
+    than t and leaves the others in the same order."""
+    if (r | p).bit_count() < t:
+        return
     if p == 0 and x == 0:
         yield r
         return
@@ -360,7 +366,7 @@ def _expand(adj, r: int, p: int, x: int) -> Iterator[int]:
     pivot = max(_mask_bits(p | x), key=lambda u: (p & adj[u]).bit_count())
     for v in _mask_bits(p & ~adj[pivot]):
         bit = 1 << v
-        yield from _expand(adj, r | bit, p & adj[v], x & adj[v])
+        yield from _expand(adj, r | bit, p & adj[v], x & adj[v], t)
         p &= ~bit
         x |= bit
 
@@ -368,7 +374,7 @@ def _expand(adj, r: int, p: int, x: int) -> Iterator[int]:
 def _clique_vertices(adj, mask: int, t: int) -> int:
     """The vertices of mask lying in at least one K_t of the subgraph induced on mask."""
     out = 0
-    for clq in _expand(adj, 0, mask, 0):
+    for clq in _expand(adj, 0, mask, 0, t):
         if clq.bit_count() >= t:
             out |= clq
     return out
@@ -384,7 +390,7 @@ def maximal_cliques(g: Graph) -> Iterator[frozenset]:
 
 def contains_clique(g: Graph, t: int) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Does g contain K_t? Returns (answer, witness vertex tuple or None)."""
-    for clq in _expand(g._adj, 0, (1 << g.n) - 1, 0):
+    for clq in _expand(g._adj, 0, (1 << g.n) - 1, 0, t):
         if clq.bit_count() >= t:
             return True, tuple(_mask_bits(clq))[:max(t, 0)]
     return False, None

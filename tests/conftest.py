@@ -8,10 +8,11 @@ edges into cliques of high vertices.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 import networkx as nx
 
-from critgraphs import Graph
+from critgraphs import Graph, contains_clique, enumerate_gallai_trees
 from critgraphs.generators import clique_path, extremal_chain
 
 
@@ -42,6 +43,49 @@ def connected_atlas(max_n: int, min_n: int = 1):
             if nx.is_connected(h)
         ]
     return [g for g in _ATLAS if min_n <= g.n <= max_n]
+
+
+# ---------------------------------------------------------------------------
+# the marked-vertex family of criterion 9
+
+
+def _marked_instance(parts, subsets):
+    n = sum(p.n for p in parts) + 1
+    x = n - 1
+    edges = []
+    off = 0
+    for part, sel in zip(parts, subsets):
+        edges += [(u + off, v + off) for u, v in part.edges()]
+        edges += [(x, s + off) for s in sel]
+        off += part.n
+    return Graph(n, edges), x
+
+
+def _nonempty_subsets(n):
+    verts = range(n)
+    for size in range(1, n + 1):
+        for bits in product((0, 1), repeat=n):
+            if sum(bits) == size:
+                yield tuple(v for v in verts if bits[v])
+
+
+def lemma51_family():
+    """Yield (g, x) over enumerate_gallai_trees(5, 5): x joined to one tree
+    at a set S with |S| >= 3, then x joined to a pair of the two K_4-bearing
+    trees at S_a, S_b with |S_a| + |S_b| >= 4 and at most 20 edges."""
+    trees = list(enumerate_gallai_trees(5, 5))
+    bearing = [t for t in trees if contains_clique(t, 4)[0]]
+    assert len(bearing) == 2
+    for tree in trees:
+        for sel in _nonempty_subsets(tree.n):
+            if len(sel) >= 3:
+                yield _marked_instance([tree], [sel])
+    for ai, a in enumerate(bearing):
+        for b in bearing[ai:]:
+            for sa in _nonempty_subsets(a.n):
+                for sb in _nonempty_subsets(b.n):
+                    if len(sa) + len(sb) >= 4 and a.m + b.m + len(sa) + len(sb) <= 20:
+                        yield _marked_instance([a, b], [sa, sb])
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,12 @@ from random import Random
 import networkx as nx
 import pytest
 
-from conftest import charge_corpus, connected_atlas, nx_to_graph
+from conftest import charge_corpus, connected_atlas, lemma51_family, nx_to_graph
 from critgraphs import (
     Graph,
     are_isomorphic,
     check_thm41,
     check_thm43,
-    contains_clique,
     check_lemma51,
     extremal_chain,
     enumerate_gallai_trees,
@@ -318,62 +317,18 @@ def test_criterion_8_parameter_checkers():
     print("criterion 8: PASS (presets pass for k=5..100, closed forms exact, %.2fs)" % dt)
 
 
-def _marked_instance(parts, subsets):
-    n = sum(p.n for p in parts) + 1
-    x = n - 1
-    edges = []
-    off = 0
-    for part, sel in zip(parts, subsets):
-        edges += [(u + off, v + off) for u, v in part.edges()]
-        edges += [(x, s + off) for s in sel]
-        off += part.n
-    return Graph(n, edges), x
-
-
-def _nonempty_subsets(n):
-    verts = range(n)
-    for size in range(1, n + 1):
-        for bits in product((0, 1), repeat=n):
-            if sum(bits) == size:
-                yield tuple(v for v in verts if bits[v])
-
-
 def test_criterion_9_single_vertex_family():
     t0 = time.monotonic()
-    trees = list(enumerate_gallai_trees(5, 5))
-    bearing = [t for t in trees if contains_clique(t, 4)[0]]
-    assert len(bearing) == 2
     held = verified = failed = 0
-    for tree in trees:
-        for sel in _nonempty_subsets(tree.n):
-            if len(sel) < 3:
-                continue
-            g, x = _marked_instance([tree], [sel])
-            report = check_lemma51(g, x, 5)
-            assert report.status in ("verified", "hypotheses failed"), report.status
-            if report.all_hold:
-                held += 1
-                assert report.status == "verified"
-                verified += 1
-            else:
-                failed += 1
-    for ai, a in enumerate(bearing):
-        for b in bearing[ai:]:
-            for sa in _nonempty_subsets(a.n):
-                for sb in _nonempty_subsets(b.n):
-                    if len(sa) + len(sb) < 4:
-                        continue
-                    if a.m + b.m + len(sa) + len(sb) > 20:
-                        continue
-                    g, x = _marked_instance([a, b], [sa, sb])
-                    report = check_lemma51(g, x, 5)
-                    assert report.status in ("verified", "hypotheses failed")
-                    if report.all_hold:
-                        held += 1
-                        assert report.status == "verified"
-                        verified += 1
-                    else:
-                        failed += 1
+    for g, x in lemma51_family():
+        report = check_lemma51(g, x, 5)
+        assert report.status in ("verified", "hypotheses failed"), report.status
+        if report.all_hold:
+            held += 1
+            assert report.status == "verified"
+            verified += 1
+        else:
+            failed += 1
     assert verified == held and verified >= 50
     dt = time.monotonic() - t0
     assert dt < 1800

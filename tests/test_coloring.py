@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_atlas
+from conftest import connected_atlas, nx_to_graph
 from critgraphs import (
     are_isomorphic,
     BudgetExceeded,
@@ -334,6 +334,51 @@ def test_counts_on_bigger_random_orientations():
         assert ee - eo == ee_eo_poly(d)
 
 
+def brute_ee_eo(d):
+    """(ee, eo) by listing all 2^m arc subsets.  Arc u -> v adds b**u - b**v
+    with b = 2m + 1, so a subset's sum is its out - in vector written in
+    balanced base b (digits in [-m, m]), which is 0 exactly when the subset
+    is eulerian; even and odd hold the sums of the even and odd subsets."""
+    b = 2 * len(d.arcs) + 1
+    even, odd = [0], []
+    for u, v in d.arcs:
+        step = b**u - b**v
+        even, odd = even + [s + step for s in odd], odd + [s + step for s in even]
+    return even.count(0), odd.count(0)
+
+
+def test_both_counts_match_subset_enumeration_on_the_atlas():
+    """ee and eo separately, not only ee - eo: every orientation of every
+    atlas graph (up to 7 vertices, connected or not) with at most 8 edges."""
+    seen = 0
+    for h in nx.graph_atlas_g():
+        if h.number_of_edges() <= 8:
+            for d in all_orientations(nx_to_graph(h)):
+                assert ee_eo(d) == brute_ee_eo(d)
+                seen += 1
+    assert seen == 49816
+
+
+def test_both_counts_match_subset_enumeration_up_to_12_arcs():
+    rng = random.Random(12)
+    pool = [g for g in connected_atlas(7) if 9 <= g.m <= 12]
+    for g in rng.sample(pool, 120):
+        arcs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges()]
+        rng.shuffle(arcs)
+        d = Orientation(g, tuple(arcs))
+        assert ee_eo(d) == brute_ee_eo(d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_counts_ignore_the_arc_order(n, data):
+    pairs = list(combinations(range(n), 2))
+    g = Graph(n, [p for p in pairs if data.draw(st.booleans())][:14])
+    arcs = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in g.edges()]
+    shuffled = data.draw(st.permutations(arcs))
+    assert ee_eo(Orientation(g, tuple(shuffled))) == ee_eo(Orientation(g, tuple(arcs)))
+
+
 def test_count_budget():
     g = Graph.complete(8)
     d = Orientation(g, tuple(g.edges()))
@@ -450,6 +495,13 @@ def test_at_counts_each_out_vector_once():
     got, calls = counted_is_f_AT(Graph.cycle(5), [2] * 5)
     assert got is None
     assert calls == 1
+
+
+def test_at_exhaustive_negative_on_k7_minus_an_edge():
+    # no certificate: one ee_eo call on 20 arcs per distinct leaf out-vector
+    got, calls = counted_is_f_AT(Graph.complete(7).remove_edge(0, 1), [5] * 7)
+    assert got is None
+    assert calls == 2395
 
 
 def test_at_budget():

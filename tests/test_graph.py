@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_atlas, graph_to_nx, nx_to_graph
+from conftest import connected_atlas, graph_to_nx, lemma51_family, nx_to_graph
 from critgraphs import (
     Graph,
     GraphFormatError,
@@ -21,7 +21,7 @@ from critgraphs import (
     write_edge_list,
     write_graph6,
 )
-from critgraphs.graph import _component_masks
+from critgraphs.graph import _component_masks, _expand, _mask_bits, clique_vertices
 
 
 def all_graphs(n):
@@ -164,6 +164,35 @@ def test_graph6_long_form_errors():
         parse_graph6(write_graph6(g) + "?")
 
 
+def reference_write_graph6(g):
+    """The writer before it read adjacency masks: one has_edge call per bit,
+    six bits per character."""
+    if g.n <= 62:
+        out = [chr(63 + g.n)]
+    else:
+        out = ["~"] + [chr(63 + (g.n >> shift & 63)) for shift in (12, 6, 0)]
+    bits = [1 if g.has_edge(u, v) else 0 for v in range(1, g.n) for u in range(v)]
+    bits += [0] * (-len(bits) % 6)
+    for i in range(0, len(bits), 6):
+        x = 0
+        for b in bits[i : i + 6]:
+            x = (x << 1) | b
+        out.append(chr(63 + x))
+    return "".join(out)
+
+
+def test_graph6_writer_matches_the_bitwise_reference():
+    """Byte-identical on the atlas (short form) and on seeded random graphs
+    of 60-300 vertices, which cross into the long form at 63."""
+    graphs = [nx_to_graph(h) for h in nx.graph_atlas_g()]
+    rng = Random(6)
+    for n in (60, 61, 62, 63, 64, 65, 100, 127, 128, 200, 255, 256, 299, 300):
+        for p in (0.0, 0.05, 0.5, 1.0):
+            graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    for g in graphs:
+        assert write_graph6(g) == reference_write_graph6(g)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 17), st.data())
 def test_graph6_round_trip_random(n, data):
@@ -250,6 +279,24 @@ def test_contains_clique_matches_networkx():
                 assert all(g.has_edge(u, v) for u, v in combinations(witness, 2))
             else:
                 assert witness is None
+
+
+def unpruned_clique_answers(g, t):
+    """contains_clique and clique_vertices read off every maximal clique."""
+    big = [c for c in _expand(g._adj, 0, (1 << g.n) - 1, 0) if c.bit_count() >= t]
+    found = (True, tuple(_mask_bits(big[0]))[:max(t, 0)]) if big else (False, None)
+    return found, frozenset(v for c in big for v in _mask_bits(c))
+
+
+def test_clique_search_cut_by_size_changes_no_answer():
+    """Cutting branches too small for K_t keeps the answer, the witness tuple
+    and the vertex set: on the atlas and on the criterion 9 family."""
+    graphs = [nx_to_graph(h) for h in nx.graph_atlas_g()]
+    graphs += [g for g, _ in lemma51_family()]
+    for g in graphs:
+        for t in range(0, 9):
+            want = unpruned_clique_answers(g, t)
+            assert (contains_clique(g, t), clique_vertices(g, t)) == want
 
 
 # isomorphism, oracled against networkx
