@@ -50,8 +50,22 @@ from .discharge import (
     tree_charge_audit,
 )
 from .errors import BudgetExceeded, EliminationFailed, GraphFormatError, PreconditionError
-from .generators import clique_path, enumerate_gallai_trees, extremal_chain
-from .graph import Graph, _INT_TOKEN, _int_pair, parse_edge_list, parse_graph6, write_graph6
+from .generators import (
+    _chain_order,
+    _clique_path_order,
+    clique_path,
+    enumerate_gallai_trees,
+    extremal_chain,
+)
+from .graph import (
+    Graph,
+    _INT_TOKEN,
+    _check_graph6_order,
+    _int_pair,
+    parse_edge_list,
+    parse_graph6,
+    write_graph6,
+)
 from .reducible import MARKED_SET_CHECKS, MAX_EXPLORED, check_lemma51
 from .structure import (
     REGIMES,
@@ -128,6 +142,8 @@ def _read_graph(token: str, max_vertices=None, max_edges=None) -> Graph:
             if max_edges is not None and m > max_edges:
                 raise BudgetExceeded("edge list header names %d edges, over the budget of %d"
                                      % (m, max_edges))
+            # every graph command echoes its graph as graph6
+            _check_graph6_order(n)
         return parse_edge_list(text)
     records = _graph6_records(text)
     _, first = next(records, (0, None))
@@ -284,7 +300,10 @@ def _cmd_verify_trees(args):
 
 def _cmd_construct(args):
     k, m = args.k, args.m
-    if args.kind == "chain":
+    chain = args.kind == "chain"
+    # refused before it is built when its graph6 could not be printed
+    _check_graph6_order((_chain_order if chain else _clique_path_order)(k, m))
+    if chain:
         g = extremal_chain(k, m)
         q = q_value(g, k)
         rhs = tree_bound_rhs(preset_params(k, "smallP"), g.n, q)
@@ -391,15 +410,18 @@ def _ledger_verdicts(g, ledger, target):
 def _cmd_discharge(args):
     g = _read_graph(args.graph)
     k = args.k
-    inputs = {"graph": write_graph6(g), "k": k, "preset": args.preset, "mode": args.mode}
+    preset = "smallP" if args.preset is None else args.preset
+    inputs = {"graph": write_graph6(g), "k": k, "preset": preset, "mode": args.mode}
     if args.mode == "gallai-sec2":
+        if args.preset is not None:
+            raise PreconditionError("--preset is not read by --mode gallai-sec2")
         ledger = run_gallai_discharge(g, k)
         target = gallai_target(k)
         verdicts = _ledger_verdicts(g, ledger, target)
         verdicts["target"] = _rat(target)
         code = 0 if verdicts["meets_target"] else 1
         return verdicts, code, "Theorem 2.1", inputs, _budget()
-    params = make_params(k, preset_params(k, args.preset), args.mode)
+    params = make_params(k, preset_params(k, preset), args.mode)
     anchor = REGIMES[params.mode].theorem
     try:
         ledger = run_main_discharge(g, params)
@@ -618,7 +640,8 @@ def _build_parser() -> _Parser:
     p = add("discharge", _cmd_discharge, "run a discharging procedure with a full ledger")
     p.add_argument("graph")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--preset", choices=("gallai", "ks", "smallP"), default="smallP")
+    # unset, this is smallP; --mode gallai-sec2 reads no preset
+    p.add_argument("--preset", choices=("gallai", "ks", "smallP"), default=None)
     p.add_argument(
         "--mode",
         choices=("auto", *REGIMES, "gallai-sec2"),

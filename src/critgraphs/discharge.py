@@ -1,8 +1,9 @@
 """Exact-rational discharging simulator with replayable charge ledgers.
 
-Two procedures are implemented: the two-rule redistribution behind the
-k-1 + (k-3)/(k^2-3) average-degree bound (rules G1, G2), and the four-rule
-procedure behind the sharper bounds (rules R1, R2, R3ai, R3bi, R4-share).
+One rule loop on vertex masks runs both procedures: the four-rule procedure
+behind the sharper bounds (rules R1, R2, R3ai, R3bi, R4-share), and the
+two-rule redistribution behind the k-1 + (k-3)/(k^2-3) average-degree bound
+(rules G1, G2), which is R1 and R4 with W empty.
 Every transfer is recorded, so a ledger can be replayed and audited after
 the fact.  All arithmetic is fractions.Fraction; nothing is ever rounded.
 """
@@ -13,7 +14,7 @@ from typing import Optional, Union
 
 from .bounds import BoundParams, check_regime, epsilon
 from .errors import EliminationFailed, PreconditionError
-from .graph import Graph, _clique_vertices, _vertex_mask
+from .graph import Graph, _clique_vertices, _mask_bits, _vertex_mask
 from .structure import REGIMES, _in_t_k, _q, build_auxiliary, eliminate, low_high_split, regime
 
 Node = Union[int, str]
@@ -64,30 +65,71 @@ class ChargeLedger:
         )
 
 
-def _check_degrees_and_trees(g: Graph, k: int):
-    for v in range(g.n):
-        if g.degree(v) < k - 1:
-            raise PreconditionError(
-                "vertex %d has degree %d < k-1" % (v, g.degree(v)), witness=v
-            )
-    split = low_high_split(g, k)
-    for comp in split.l_components:
+def _check_degrees(g: Graph, k: int) -> None:
+    for v, d in enumerate(g.degrees()):
+        if d < k - 1:
+            raise PreconditionError("vertex %d has degree %d < k-1" % (v, d), witness=v)
+
+
+def _check_trees(g: Graph, k: int, components) -> None:
+    for comp in components:
         if not _in_t_k(g._adj, _vertex_mask(comp), k):
             raise PreconditionError(
                 "a component of the degree-(k-1) subgraph falls outside the "
                 "clique-or-odd-cycle-block family",
                 witness=tuple(sorted(comp)),
             )
-    return split
 
 
-def _share_equally(
-    g: Graph,
-    components,
-    charge: list[Fraction],
-    transfers: list,
-    rule: str,
-) -> tuple[ComponentShare, ...]:
+def _discharge(
+    g: Graph, k: int, eps: Fraction, gam: Fraction, labels, components, w_sets, order
+) -> ChargeLedger:
+    """The rule loop of both procedures, transfers in the order they happen.
+
+    R1 (labels[0]): each vertex of degree >= k sends eps to each
+    degree-(k-1) neighbour outside W, then R2: if its degree is >= k+1, gam
+    to each W neighbour.  Along the elimination order: when tree i goes,
+    R3ai: each degree-k vertex still present that sees exactly two vertices
+    of W_i sends gam to the lower one; when a degree-k vertex goes, R3bi: it
+    sends gam to each of its W neighbours in every tree still present.  Last
+    (labels[1]): each component of the degree-(k-1) subgraph shares its
+    total charge equally through the pool node "share:i"."""
+    adj, deg = g._adj, g.degrees()
+    rule1, share_rule = labels
+    w_masks = [_vertex_mask(w) for w in w_sets]
+    in_w = _vertex_mask(v for w in w_sets for v in w)
+    low = _vertex_mask(v for v in range(g.n) if deg[v] == k - 1) & ~in_w
+    highs = _vertex_mask(v for v in range(g.n) if deg[v] == k)
+    trees = (1 << len(w_masks)) - 1
+    charge = [Fraction(d) for d in deg]
+    transfers: list = []
+
+    def send(rule: str, src: int, dst: int, amount: Fraction):
+        transfers.append((rule, src, dst, amount))
+        charge[src] -= amount
+        charge[dst] += amount
+
+    for v in range(g.n):
+        if deg[v] >= k:
+            for u in _mask_bits(adj[v] & low):
+                send(rule1, v, u, eps)
+        if deg[v] >= k + 1:
+            for u in _mask_bits(adj[v] & in_w):
+                send("R2", v, u, gam)
+
+    for kind, ident in order:
+        if kind == "tree":
+            for v in _mask_bits(highs):
+                seen = adj[v] & w_masks[ident]
+                if seen.bit_count() == 2:
+                    send("R3ai", v, (seen & -seen).bit_length() - 1, gam)
+            trees &= ~(1 << ident)
+        else:
+            for i in _mask_bits(trees):
+                for x in _mask_bits(adj[ident] & w_masks[i]):
+                    send("R3bi", ident, x, gam)
+            highs &= ~(1 << ident)
+
     shares = []
     for i, comp in enumerate(components):
         members = sorted(comp)
@@ -95,13 +137,15 @@ def _share_equally(
         share = total / len(members)
         pool = "share:%d" % i
         for v in members:
-            transfers.append((rule, v, pool, charge[v]))
+            transfers.append((share_rule, v, pool, charge[v]))
             charge[v] = Fraction(0)
         for v in members:
-            transfers.append((rule, pool, v, share))
+            transfers.append((share_rule, pool, v, share))
             charge[v] = share
         shares.append(ComponentShare(i, tuple(members), total, share))
-    return tuple(shares)
+    return ChargeLedger(
+        g.n, tuple(Fraction(d) for d in deg), tuple(transfers), tuple(charge), tuple(shares)
+    )
 
 
 def gallai_target(k: int) -> Fraction:
@@ -111,28 +155,15 @@ def gallai_target(k: int) -> Fraction:
 def run_gallai_discharge(g: Graph, k: int) -> ChargeLedger:
     """Each vertex starts with its degree.  G1: every vertex of degree >= k
     sends (k-1)/(k^2-3) to each degree-(k-1) neighbor.  G2: each component of
-    the degree-(k-1) subgraph shares its total charge equally."""
+    the degree-(k-1) subgraph shares its total charge equally.  These are
+    rules R1 and R4 with W empty, so R2 and R3 send nothing."""
     if k < 4:
         raise PreconditionError("k must be at least 4", witness=k)
-    split = _check_degrees_and_trees(g, k)
+    _check_degrees(g, k)
+    components = low_high_split(g, k).l_components
+    _check_trees(g, k, components)
     amount = Fraction(k - 1, k * k - 3)
-    charge = [Fraction(g.degree(v)) for v in range(g.n)]
-    transfers: list = []
-    for v in range(g.n):
-        if g.degree(v) >= k:
-            for u in g.neighbors(v):
-                if g.degree(u) == k - 1:
-                    transfers.append(("G1", v, u, amount))
-                    charge[v] -= amount
-                    charge[u] += amount
-    shares = _share_equally(g, split.l_components, charge, transfers, "G2")
-    return ChargeLedger(
-        g.n,
-        tuple(Fraction(d) for d in g.degrees()),
-        tuple(transfers),
-        tuple(charge),
-        shares,
-    )
+    return _discharge(g, k, amount, Fraction(0), ("G1", "G2"), components, (), ())
 
 
 @dataclass(frozen=True)
@@ -167,8 +198,11 @@ def run_main_discharge(g: Graph, params: DischargeParams) -> ChargeLedger:
     the run and surfaces the residual, since that residual is exactly the
     configuration the reducibility lemmas forbid in a critical graph."""
     k = params.k
-    split = _check_degrees_and_trees(g, k)
+    _check_degrees(g, k)
+    # the auxiliary graph's trees are the components of the degree-(k-1)
+    # subgraph, in the order low_high_split gives them
     aux = build_auxiliary(g, k)
+    _check_trees(g, k, aux.tree_components)
     elim = eliminate(aux, params.mode)
     if not elim.succeeded:
         raise EliminationFailed(
@@ -176,54 +210,9 @@ def run_main_discharge(g: Graph, params: DischargeParams) -> ChargeLedger:
             % (params.mode, len(elim.residual_trees), len(elim.residual_highs)),
             residual=(elim.residual_trees, elim.residual_highs, elim.residual_edges),
         )
-
-    in_w = set()
-    for wset in aux.w_sets:
-        in_w |= wset
-    eps, gam = params.epsilon, params.gamma
-    charge = [Fraction(g.degree(v)) for v in range(g.n)]
-    transfers: list = []
-
-    def send(rule: str, src: int, dst: int, amount: Fraction):
-        transfers.append((rule, src, dst, amount))
-        charge[src] -= amount
-        charge[dst] += amount
-
-    for v in range(g.n):
-        if g.degree(v) >= k:
-            for u in g.neighbors(v):
-                if g.degree(u) == k - 1 and u not in in_w:
-                    send("R1", v, u, eps)
-        if g.degree(v) >= k + 1:
-            for u in g.neighbors(v):
-                if u in in_w:
-                    send("R2", v, u, gam)
-
-    present_highs = set(aux.y_vertices)
-    present_trees = set(range(len(aux.tree_components)))
-    adjacency = {y: sorted(i for z, i in aux.edges if z == y) for y in aux.y_vertices}
-    for kind, ident in elim.order:
-        if kind == "tree":
-            wset = aux.w_sets[ident]
-            for v in sorted(present_highs):
-                wn = sorted(u for u in g.neighbors(v) if u in wset)
-                if len(wn) == 2:
-                    send("R3ai", v, wn[0], gam)
-            present_trees.discard(ident)
-        else:
-            for i in adjacency[ident]:
-                if i in present_trees:
-                    for x in sorted(u for u in g.neighbors(ident) if u in aux.w_sets[i]):
-                        send("R3bi", ident, x, gam)
-            present_highs.discard(ident)
-
-    shares = _share_equally(g, split.l_components, charge, transfers, "R4-share")
-    return ChargeLedger(
-        g.n,
-        tuple(Fraction(d) for d in g.degrees()),
-        tuple(transfers),
-        tuple(charge),
-        shares,
+    return _discharge(
+        g, k, params.epsilon, params.gamma, ("R1", "R4-share"),
+        aux.tree_components, aux.w_sets, elim.order,
     )
 
 
@@ -241,26 +230,24 @@ def sponsorship_stats(g: Graph, params: DischargeParams, ledger: ChargeLedger) -
     """Read the rule-3 bookkeeping back out of a ledger: how many gammas each
     k-vertex sent, and per component how many of its q(T) boundary edges
     carried no gamma."""
-    k = params.k
-    aux = build_auxiliary(g, k)
-    gamma_counts = {
-        y: sum(1 for r, s, _, _ in ledger.transfers if s == y and r in ("R3ai", "R3bi"))
-        for y in aux.y_vertices
-    }
-    got_gamma = {
-        (s, d) for r, s, d, _ in ledger.transfers if r in ("R2", "R3ai", "R3bi")
-    }
+    adj = g._adj
+    aux = build_auxiliary(g, params.k)
+    gamma_counts = dict.fromkeys(aux.y_vertices, 0)
+    got_gamma: dict = {}  # per vertex, the mask of vertices that sent it a gamma
+    for r, s, d, _ in ledger.transfers:
+        if r in ("R3ai", "R3bi") and s in gamma_counts:
+            gamma_counts[s] += 1
+        if r in ("R2", "R3ai", "R3bi"):
+            got_gamma[d] = got_gamma.get(d, 0) | 1 << s
     unsponsored = {}
     max_w = 0
-    for i, comp in enumerate(aux.tree_components):
-        missing = 0
-        for x in sorted(aux.w_sets[i]):
-            for u in g.neighbors(x):
-                if u not in comp and (u, x) not in got_gamma:
-                    missing += 1
-        unsponsored[i] = missing
-        for y in aux.y_vertices:
-            max_w = max(max_w, sum(1 for u in g.neighbors(y) if u in aux.w_sets[i]))
+    for i, (comp, wset) in enumerate(zip(aux.tree_components, aux.w_sets)):
+        outside = ~_vertex_mask(comp)
+        unsponsored[i] = sum(
+            (adj[x] & outside & ~got_gamma.get(x, 0)).bit_count() for x in wset
+        )
+        w = _vertex_mask(wset)
+        max_w = max([max_w] + [(adj[y] & w).bit_count() for y in aux.y_vertices])
     return SponsorStats(gamma_counts, unsponsored, max_w)
 
 
@@ -289,8 +276,10 @@ def tree_charge_audit(
     # 2|E(T)| is the sum of the degrees inside T
     two_m = sum((adj[v] & mask).bit_count() for v in members)
     a_val = (k - 1) * len(members) - two_m - q
+    inside = set(members)
     received = sum(
-        (ledger.inflow(v, _RECEIVE_RULES) for v in members), Fraction(0)
+        (a for r, _, d, a in ledger.transfers if d in inside and r in _RECEIVE_RULES),
+        Fraction(0),
     )
     floor = params.epsilon * (2 - params.bp.p) * len(members)
     has_clique = _clique_vertices(adj, mask, k - 1) != 0

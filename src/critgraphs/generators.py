@@ -103,6 +103,15 @@ def enumerate_gallai_trees(k: int, n_max: int) -> Iterator[Graph]:
                         register(h, blocks + ((kind, ring),))
 
 
+def _chain_order(k: int, m: int) -> int:
+    """The vertex count of extremal_chain(k, m), once its arguments pass."""
+    if k < 5:
+        raise PreconditionError("k must be at least 5", witness=k)
+    if m < 1:
+        raise PreconditionError("m must be at least 1", witness=m)
+    return m * ((k - 1) + (k - 3) * (k - 2))
+
+
 def extremal_chain(k: int, m: int) -> Graph:
     """Chain of m copies of X, where X is a K_{k-1} with k-3 pendant K_{k-2}s,
     consecutive copies joined by a single edge between free K_{k-1} vertices.
@@ -111,11 +120,8 @@ def extremal_chain(k: int, m: int) -> Graph:
     pendant blocks follow consecutively; pendant i hangs from clique vertex i
     (i = 0..k-4), leaving clique vertices k-3 and k-2 free for link edges.
     """
-    if k < 5:
-        raise PreconditionError("k must be at least 5", witness=k)
-    if m < 1:
-        raise PreconditionError("m must be at least 1", witness=m)
-    copy_size = (k - 1) + (k - 3) * (k - 2)
+    n = _chain_order(k, m)
+    copy_size = n // m
     edges = []
     free: list[list[int]] = []
     for j in range(m):
@@ -130,17 +136,23 @@ def extremal_chain(k: int, m: int) -> Graph:
         free.append([clique[k - 3], clique[k - 2]])
     for j in range(m - 1):
         edges.append((free[j].pop(0), free[j + 1].pop(0)))
-    return Graph(m * copy_size, edges)
+    return Graph(n, edges)
+
+
+def _clique_path_order(k: int, m: int) -> int:
+    """The vertex count of clique_path(k, m), once its arguments pass."""
+    if k < 4:
+        raise PreconditionError("k must be at least 4", witness=k)
+    if m < 1:
+        raise PreconditionError("m must be at least 1", witness=m)
+    return m * (k - 1)
 
 
 def clique_path(k: int, m: int) -> Graph:
     """Path of m copies of K_{k-1}, consecutive copies joined by a single edge
     between their lowest-numbered free vertices.
     """
-    if k < 4:
-        raise PreconditionError("k must be at least 4", witness=k)
-    if m < 1:
-        raise PreconditionError("m must be at least 1", witness=m)
+    n = _clique_path_order(k, m)
     edges = []
     for j in range(m):
         off = j * (k - 1)
@@ -150,7 +162,7 @@ def clique_path(k: int, m: int) -> Graph:
         # incoming edge, so the outgoing one sits at local 1
         a = j * (k - 1) + (0 if j == 0 else 1)
         edges.append((a, (j + 1) * (k - 1)))
-    return Graph(m * (k - 1), edges)
+    return Graph(n, edges)
 
 
 # Hand-transcribed embeddings of the k=5 chains with 2 and 3 copies.  Kept as

@@ -251,11 +251,17 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, edges)
 
 
+def _check_graph6_order(n: int) -> None:
+    """Reject a vertex count graph6 cannot write, before a graph that large
+    is built."""
+    if n > _G6_MAX_N:
+        raise GraphFormatError(f"graph6 supports n <= {_G6_MAX_N}, got n = {n}")
+
+
 def write_graph6(g: Graph) -> str:
     """Encode to graph6: the short form up to 62 vertices, then the long form;
     rejects n > 258047."""
-    if g.n > _G6_MAX_N:
-        raise GraphFormatError(f"graph6 supports n <= {_G6_MAX_N}, got n = {g.n}")
+    _check_graph6_order(g.n)
     if g.n <= _G6_SHORT_MAX_N:
         out = [chr(63 + g.n)]
     else:

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from itertools import combinations
 from pathlib import Path
@@ -270,6 +271,7 @@ def test_file_commands_print_one_document(tmp_path_factory, argv, k, u, data):
         ["census", "-", "--k", "3", "--notion", "list", "--max-edges", "5"],
         ["reduce-check", "D~w", "--k", "5", "--x", "3", "--variant", "symmetric"],
         ["reduce-check", "D~w", "--k", "5", "--x", "3", "--max-states", "1"],
+        ["discharge", "Ehfw", "--k", "4", "--mode", "gallai-sec2", "--preset", "ks"],
     ],
 )
 def test_exit_3_on_conflicting_or_unread_options(argv):
@@ -381,6 +383,31 @@ def test_edge_list_header_over_edge_budget_exits_before_the_body(capsys, monkeyp
     code, doc = run(capsys, argv[0], "-", *argv[1:])
     assert code == 3
     assert "negative count" in doc["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["critical", "@{}", "--k", "3", "--notion", "at"], "got n = 300000"),
+        (["analyze", "@{}", "--k", "4"], "got n = 300000"),
+        (["construct", "--kind", "chain", "--k", "30", "--m", "400"], "got n = 314000"),
+        (["construct", "--kind", "clique-path", "--k", "5", "--m", "70000"], "got n = 280000"),
+        # the generator's own argument check comes first
+        (["construct", "--kind", "chain", "--k", "4", "--m", "100000"], "k must be at least 5"),
+    ],
+)
+def test_graph_past_the_graph6_limit_exits_before_it_is_built(capsys, tmp_path, argv, error):
+    # each report echoes its graph as graph6, which stops at 258047 vertices;
+    # building the graph first took minutes and gigabytes
+    path = tmp_path / "big.txt"
+    path.write_text("300000 0\n")
+    t0 = time.perf_counter()
+    code, doc = run(capsys, *(a.format(path) for a in argv))
+    assert time.perf_counter() - t0 < 1
+    assert code == doc["exit"] == 3
+    if error.startswith("got"):
+        error = "graph6 supports n <= 258047, " + error
+    assert doc["error"] == error
 
 
 def test_bare_at_sign_is_k1(capsys):
@@ -511,6 +538,8 @@ def test_discharge_gallai_mode(capsys):
     assert v["final"]["0"] == "42/13" and v["final"]["5"] == "50/13"
     assert v["meets_target"] is True and v["conserved"] is True
     assert doc["paper_anchor"] == "Theorem 2.1"
+    # Section 2 reads no preset; unset, it is still echoed as the default
+    assert doc["inputs"]["preset"] == "smallP"
 
 
 def test_discharge_main_mode_success(capsys):
@@ -522,6 +551,8 @@ def test_discharge_main_mode_success(capsys):
     assert v["meets_target"] is True
     assert v["audits"] and "audit_failures" not in v
     assert doc["paper_anchor"] == "Theorem 4.3"
+    code, doc = run(capsys, "discharge", charge_g6(), "--k", "5", "--preset", "ks")
+    assert code == 0 and doc["inputs"]["preset"] == "ks"
 
 
 def test_discharge_reports_residual(capsys):

@@ -1,6 +1,8 @@
 """Charge redistribution: parameters, rules, ledgers, audits."""
 
 from fractions import Fraction as F
+from itertools import combinations
+from random import Random
 
 import pytest
 
@@ -11,6 +13,9 @@ from critgraphs import (
     EliminationFailed,
     Graph,
     PreconditionError,
+    build_auxiliary,
+    eliminate,
+    enumerate_gallai_trees,
     gallai_target,
     low_high_split,
     main_bound,
@@ -21,7 +26,9 @@ from critgraphs import (
     sponsorship_stats,
     tree_charge_audit,
 )
-from critgraphs.discharge import _RECEIVE_RULES
+from critgraphs.discharge import _RECEIVE_RULES, ComponentShare, SponsorStats
+from critgraphs.graph import _vertex_mask
+from critgraphs.structure import _in_t_k
 
 
 def params_for(k, mode="auto"):
@@ -304,3 +311,203 @@ def test_audit_rejects_foreign_components():
     with pytest.raises(AssertionError):
         # two high vertices induce a K_2 but received nothing
         tree_charge_audit(g, (18, 19), pr, ledger)
+
+
+# the set-based procedures as first written, kept as the oracle for the rule
+# loop on vertex masks
+
+def reference_check_degrees_and_trees(g, k):
+    for v in range(g.n):
+        if g.degree(v) < k - 1:
+            raise PreconditionError(
+                "vertex %d has degree %d < k-1" % (v, g.degree(v)), witness=v
+            )
+    split = low_high_split(g, k)
+    for comp in split.l_components:
+        if not _in_t_k(g._adj, _vertex_mask(comp), k):
+            raise PreconditionError(
+                "a component of the degree-(k-1) subgraph falls outside the "
+                "clique-or-odd-cycle-block family",
+                witness=tuple(sorted(comp)),
+            )
+    return split
+
+
+def reference_share_equally(components, charge, transfers, rule):
+    shares = []
+    for i, comp in enumerate(components):
+        members = sorted(comp)
+        total = sum((charge[v] for v in members), F(0))
+        share = total / len(members)
+        pool = "share:%d" % i
+        for v in members:
+            transfers.append((rule, v, pool, charge[v]))
+            charge[v] = F(0)
+        for v in members:
+            transfers.append((rule, pool, v, share))
+            charge[v] = share
+        shares.append(ComponentShare(i, tuple(members), total, share))
+    return tuple(shares)
+
+
+def reference_gallai_discharge(g, k):
+    if k < 4:
+        raise PreconditionError("k must be at least 4", witness=k)
+    split = reference_check_degrees_and_trees(g, k)
+    amount = F(k - 1, k * k - 3)
+    charge = [F(g.degree(v)) for v in range(g.n)]
+    transfers = []
+    for v in range(g.n):
+        if g.degree(v) >= k:
+            for u in g.neighbors(v):
+                if g.degree(u) == k - 1:
+                    transfers.append(("G1", v, u, amount))
+                    charge[v] -= amount
+                    charge[u] += amount
+    shares = reference_share_equally(split.l_components, charge, transfers, "G2")
+    initial = tuple(F(d) for d in g.degrees())
+    return ChargeLedger(g.n, initial, tuple(transfers), tuple(charge), shares)
+
+
+def reference_main_discharge(g, params):
+    k = params.k
+    split = reference_check_degrees_and_trees(g, k)
+    aux = build_auxiliary(g, k)
+    elim = eliminate(aux, params.mode)
+    if not elim.succeeded:
+        raise EliminationFailed(
+            "auxiliary graph not %s-degenerate; residual %d trees / %d highs"
+            % (params.mode, len(elim.residual_trees), len(elim.residual_highs)),
+            residual=(elim.residual_trees, elim.residual_highs, elim.residual_edges),
+        )
+    in_w = set()
+    for wset in aux.w_sets:
+        in_w |= wset
+    eps, gam = params.epsilon, params.gamma
+    charge = [F(g.degree(v)) for v in range(g.n)]
+    transfers = []
+
+    def send(rule, src, dst, amount):
+        transfers.append((rule, src, dst, amount))
+        charge[src] -= amount
+        charge[dst] += amount
+
+    for v in range(g.n):
+        if g.degree(v) >= k:
+            for u in g.neighbors(v):
+                if g.degree(u) == k - 1 and u not in in_w:
+                    send("R1", v, u, eps)
+        if g.degree(v) >= k + 1:
+            for u in g.neighbors(v):
+                if u in in_w:
+                    send("R2", v, u, gam)
+    present_highs = set(aux.y_vertices)
+    present_trees = set(range(len(aux.tree_components)))
+    adjacency = {y: sorted(i for z, i in aux.edges if z == y) for y in aux.y_vertices}
+    for kind, ident in elim.order:
+        if kind == "tree":
+            wset = aux.w_sets[ident]
+            for v in sorted(present_highs):
+                wn = sorted(u for u in g.neighbors(v) if u in wset)
+                if len(wn) == 2:
+                    send("R3ai", v, wn[0], gam)
+            present_trees.discard(ident)
+        else:
+            for i in adjacency[ident]:
+                if i in present_trees:
+                    for x in sorted(u for u in g.neighbors(ident) if u in aux.w_sets[i]):
+                        send("R3bi", ident, x, gam)
+            present_highs.discard(ident)
+    shares = reference_share_equally(split.l_components, charge, transfers, "R4-share")
+    initial = tuple(F(d) for d in g.degrees())
+    return ChargeLedger(g.n, initial, tuple(transfers), tuple(charge), shares)
+
+
+def reference_sponsorship_stats(g, params, ledger):
+    aux = build_auxiliary(g, params.k)
+    gamma_counts = {
+        y: sum(1 for r, s, _, _ in ledger.transfers if s == y and r in ("R3ai", "R3bi"))
+        for y in aux.y_vertices
+    }
+    got_gamma = {(s, d) for r, s, d, _ in ledger.transfers if r in ("R2", "R3ai", "R3bi")}
+    unsponsored = {}
+    max_w = 0
+    for i, comp in enumerate(aux.tree_components):
+        missing = 0
+        for x in sorted(aux.w_sets[i]):
+            for u in g.neighbors(x):
+                if u not in comp and (u, x) not in got_gamma:
+                    missing += 1
+        unsponsored[i] = missing
+        for y in aux.y_vertices:
+            max_w = max(max_w, sum(1 for u in g.neighbors(y) if u in aux.w_sets[i]))
+    return SponsorStats(gamma_counts, unsponsored, max_w)
+
+
+def oracle_corpus():
+    """(label, graph, k): the generated corpus for k = 5..8, stalled and
+    rule-3ai instances, seeded padded Gallai forests and seeded random graphs
+    (which mostly fail a precondition)."""
+    out = [(inst.label, inst.graph, k) for k in (5, 6, 7, 8) for inst in charge_corpus(k)]
+    for args in ((5, 3, 3), (5, 4, 4), (6, 3, 4), (6, 4, 3), (7, 3, 5), (7, 4, 4), (8, 3, 6)):
+        out.append(("stalled%s" % (args,), stalled_aux_instance(*args)[0], args[0]))
+    g, k = three_ai_instance()
+    out.append(("3ai", g, k))
+    rng = Random(2016)
+    pools = {k: list(enumerate_gallai_trees(k, 6)) for k in (5, 6, 7, 8)}
+    for i in range(80):
+        k = rng.choice((5, 6, 7, 8))
+        trees = [rng.choice(pools[k]) for _ in range(rng.randint(1, 3))]
+        mode = rng.choice(("single", "double", "pair", "mixed"))
+        try:
+            out.append(("forest%d" % i, build_charge_instance(k, trees, mode).graph, k))
+        except AssertionError:  # the builder found nowhere to put a slot
+            pass
+    for i in range(60):
+        n = rng.randint(4, 12)
+        p = rng.random()
+        edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+        out.append(("random%d" % i, Graph(n, edges), rng.choice((4, 5, 6, 7))))
+    return out
+
+
+def outcome(f, *args):
+    """repr of f's result, or of the error it raised with its payload."""
+    try:
+        return repr(f(*args))
+    except (PreconditionError, EliminationFailed, AssertionError) as e:
+        payload = getattr(e, "residual", getattr(e, "witness", None))
+        return (type(e).__name__, str(e), repr(payload))
+
+
+def test_rule_loop_matches_the_set_based_procedures():
+    fired = set()
+    for label, g, k in oracle_corpus():
+        want = outcome(reference_gallai_discharge, g, k)
+        assert outcome(run_gallai_discharge, g, k) == want, label
+        if not isinstance(want, tuple):
+            fired |= {r for r, *_ in run_gallai_discharge(g, k).transfers}
+        for mode in ("auto", "symmetric", "lopsided"):
+            try:
+                pr = params_for(k, mode)
+            except PreconditionError:  # the regime does not cover k
+                continue
+            want = outcome(reference_main_discharge, g, pr)
+            assert outcome(run_main_discharge, g, pr) == want, (label, mode)
+            if isinstance(want, tuple):
+                continue
+            ledger = run_main_discharge(g, pr)
+            fired |= {r for r, *_ in ledger.transfers}
+            assert repr(sponsorship_stats(g, pr, ledger)) == repr(
+                reference_sponsorship_stats(g, pr, ledger)
+            ), (label, mode)
+            # audits, also of vertex sets that are not components
+            comps = list(low_high_split(g, k).l_components) + [(0, 1), tuple(range(g.n))[-3:]]
+            for comp in comps:
+                received = sum((ledger.inflow(v, _RECEIVE_RULES) for v in comp), F(0))
+                got = outcome(tree_charge_audit, g, comp, pr, ledger)
+                if not isinstance(got, tuple):
+                    assert tree_charge_audit(g, comp, pr, ledger).received == received
+                elif "received" in got[1]:
+                    assert "received %s <" % received in got[1]
+    assert fired == {"G1", "G2", "R1", "R2", "R3ai", "R3bi", "R4-share"}
