@@ -91,6 +91,25 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _int_at_least(low: int):
+    """An argparse type for an integer no less than low: a budget below 0 or
+    a tree order below 1 can mean nothing."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+        if value < low:
+            raise argparse.ArgumentTypeError("%d is less than %d" % (value, low))
+        return value
+
+    return parse
+
+
+_BUDGET = _int_at_least(0)
+
+
 def _rat(x) -> str:
     x = Fraction(x)
     return "%d/%d" % (x.numerator, x.denominator)
@@ -486,6 +505,8 @@ def _cmd_reduce_check(args):
         if not args.y:
             raise PreconditionError("give --x or --y")
         ys = _int_list(args.y, "y")
+        if not ys or len(set(ys)) < len(ys):
+            raise PreconditionError("--y must name distinct vertices: %r" % args.y)
         inputs["y"] = ys
         mode = regime(k, args.variant or "auto")
         max_states = MAX_EXPLORED if args.max_states is None else args.max_states
@@ -588,11 +609,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
 
     p = add("bounds", _cmd_bounds, "reference table of average-degree bounds")
-    p.add_argument("--k", type=int, nargs="*", default=None)
+    p.add_argument("--k", type=int, nargs="+", default=None)
 
     p = add("verify-trees", _cmd_verify_trees, "check tree bounds over an enumeration")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n-max", type=int, default=8)
+    p.add_argument("--n-max", type=_int_at_least(1), default=8)
 
     p = add("construct", _cmd_construct, "build a tightness example")
     p.add_argument("--kind", choices=("chain", "clique-path"), default="chain")
@@ -610,28 +631,28 @@ def _build_parser() -> _Parser:
     p.add_argument("graph")
     sizes = add_list_size(p)
     sizes.add_argument("--number", action="store_true", help="compute the least uniform bound")
-    p.add_argument("--max-edges", type=int, default=AT_MAX_EDGES)
+    p.add_argument("--max-edges", type=_BUDGET, default=AT_MAX_EDGES)
 
     p = add("choose", _cmd_choose, "list-colorability decision")
     p.add_argument("graph")
     add_list_size(p)
-    p.add_argument("--max-vertices", type=int, default=CHOOSE_MAX_VERTICES)
+    p.add_argument("--max-vertices", type=_BUDGET, default=CHOOSE_MAX_VERTICES)
 
     p = add("paint", _cmd_paint, "painting game decision")
     p.add_argument("graph")
     add_list_size(p)
-    p.add_argument("--max-vertices", type=int, default=PAINT_MAX_VERTICES)
+    p.add_argument("--max-vertices", type=_BUDGET, default=PAINT_MAX_VERTICES)
 
     p = add("chi", _cmd_chi, "chromatic number")
     p.add_argument("graph")
-    p.add_argument("--max-vertices", type=int, default=CHI_MAX_VERTICES)
+    p.add_argument("--max-vertices", type=_BUDGET, default=CHI_MAX_VERTICES)
 
     def add_notion(p):
         # an unset budget takes the notion's default from _CRITICAL
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--notion", choices=tuple(_CRITICAL), default="chromatic")
-        p.add_argument("--max-vertices", type=int, default=None)
-        p.add_argument("--max-edges", type=int, default=None)
+        p.add_argument("--max-vertices", type=_BUDGET, default=None)
+        p.add_argument("--max-edges", type=_BUDGET, default=None)
 
     p = add("critical", _cmd_critical, "criticality decision")
     p.add_argument("graph")
@@ -656,8 +677,8 @@ def _build_parser() -> _Parser:
     marks.add_argument("--y", help="comma separated marked vertex set")
     # unset, these take "auto" and MAX_EXPLORED under --y; --x reads neither
     p.add_argument("--variant", choices=("auto", *REGIMES), default=None)
-    p.add_argument("--max-edges", type=int, default=AT_MAX_EDGES)
-    p.add_argument("--max-states", type=int, default=None)
+    p.add_argument("--max-edges", type=_BUDGET, default=AT_MAX_EDGES)
+    p.add_argument("--max-states", type=_BUDGET, default=None)
 
     p = add("census", _cmd_census, "scan a graph6 stream for critical graphs")
     p.add_argument("stream", help="file of graph6 records, or - for stdin")

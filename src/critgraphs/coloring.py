@@ -103,10 +103,15 @@ def chromatic_number(g: Graph, max_vertices: int = CHI_MAX_VERTICES) -> int:
 # A graph fails f-choosability iff some assignment with |L(v)| = f(v) admits no
 # proper coloring.  The search below enumerates assignments as multisets of
 # color classes (class = set of vertices whose list holds that color), using
-# two reductions that lose no witnesses: classes may be assumed connected
-# (split a disconnected class into fresh colors), and classes of size 1 may be
+# three reductions that lose no witnesses: classes may be assumed connected
+# (split a disconnected class into fresh colors), classes of size 1 may be
 # assumed away (a color private to v is usable at v iff the rest of the graph
-# colors at all, so such a witness restricts to one on G - v).
+# colors at all, so such a witness restricts to one on G - v), and a graph
+# that _peel empties is choosable (color the vertices in the reverse of the
+# order they were dropped).  The class search keeps the sets of vertices the
+# classes so far can color, and reads them only through _peel, which is
+# monotone: a subset of a set that peels away peels away.  Those sets are
+# closed under subsets, so it keeps only the maximal ones.
 
 
 def _peel(adj, umask: int, r: Sequence[int]) -> int:
@@ -135,7 +140,6 @@ def _connected_supersets(g: Graph, pivot: int, allowed: int):
             bit = 1 << v
             grow(cur | bit, frontier | g.adj_mask(v), forbidden | seen)
             seen |= bit
-        return
 
     grow(1 << pivot, g.adj_mask(pivot), 0)
     return out
@@ -147,17 +151,17 @@ def _search_classes(g: Graph, mask: int, f: tuple[int, ...]):
     the class list or None."""
     r = [f[v] if mask >> v & 1 else 0 for v in range(g.n)]
 
-    def dfs(reached: frozenset, classes: list, prev: tuple):
+    def dfs(reached: list, classes: list, prev: tuple):
+        # also the end test: with no demand left nothing peels, so this
+        # fires exactly when the classes color all of mask
+        if any(not _peel(g._adj, mask & ~m, r) for m in reached):
+            return None
         active = 0
         for v in _mask_bits(mask):
             if r[v] > 0:
                 active |= 1 << v
         if not active:
-            if mask in reached:
-                return None
             return list(classes)
-        if any(not _peel(g._adj, mask & ~m, r) for m in reached):
-            return None
         pivot = (active & -active).bit_length() - 1
         cands = [c for c in _connected_supersets(g, pivot, active)
                  if c.bit_count() >= 2]
@@ -167,8 +171,12 @@ def _search_classes(g: Graph, mask: int, f: tuple[int, ...]):
                 continue
             for v in _mask_bits(c):
                 r[v] -= 1
-            grown = reached.union(m | s for m in reached
-                                  for s in _independent_subsets(g._adj, c))
+            subsets = _independent_subsets(g._adj, c)
+            grown = []
+            for m in sorted((old | s for old in reached for s in subsets),
+                            key=int.bit_count, reverse=True):
+                if all(m & ~o for o in grown):
+                    grown.append(m)
             res = dfs(grown, classes + [c], (pivot, c))
             if res is not None:
                 return res
@@ -176,62 +184,51 @@ def _search_classes(g: Graph, mask: int, f: tuple[int, ...]):
                 r[v] += 1
         return None
 
-    return dfs(frozenset([0]), [], (-1, 0))
+    return dfs([0], [], (-1, 0))
 
 
-def _fresh_pad(witness: dict, v: int, count: int) -> dict:
+def _pad(witness: dict, f: tuple[int, ...], mask: int) -> dict:
+    """witness with each vertex v of mask given f[v] colors used nowhere else."""
     top = max((c for lst in witness.values() for c in lst), default=-1) + 1
     out = dict(witness)
-    out[v] = tuple(range(top, top + count))
+    for v in _mask_bits(mask):
+        out[v] = tuple(range(top, top + f[v]))
+        top += f[v]
     return out
 
 
 def _not_choosable(g: Graph, f: tuple[int, ...], mask: int, memo: dict):
-    if mask == 0:
-        return None
-    if mask in memo:
-        return memo[mask]
-    result = None
+    if mask not in memo:
+        memo[mask] = _bad_assignment(g, f, mask, memo)
+    return memo[mask]
+
+
+def _bad_assignment(g: Graph, f: tuple[int, ...], mask: int, memo: dict):
+    """A list assignment of sizes f on mask with no proper coloring, or None."""
     for v in _mask_bits(mask):
         if f[v] == 0:
-            result = {v: ()}
-            for u in _mask_bits(mask & ~(1 << v)):
-                result = _fresh_pad(result, u, f[u])
-            memo[mask] = result
-            return result
+            return _pad({v: ()}, f, mask & ~(1 << v))
 
     comps = _component_masks(g._adj, mask)
     if len(comps) > 1:
         for comp in comps:
             sub = _not_choosable(g, f, comp, memo)
             if sub is not None:
-                result = dict(sub)
-                for u in _mask_bits(mask & ~comp):
-                    result = _fresh_pad(result, u, f[u])
-                memo[mask] = result
-                return result
-        memo[mask] = None
+                return _pad(sub, f, mask & ~comp)
         return None
 
-    if all(f[v] >= (g.adj_mask(v) & mask).bit_count() + 1 for v in _mask_bits(mask)):
-        memo[mask] = None
+    if not _peel(g._adj, mask, f):
         return None
 
     classes = _search_classes(g, mask, f)
     if classes is not None:
-        result = {}
-        for v in _mask_bits(mask):
-            result[v] = tuple(i for i, c in enumerate(classes) if c >> v & 1)
-        memo[mask] = result
-        return result
+        return {v: tuple(i for i, c in enumerate(classes) if c >> v & 1)
+                for v in _mask_bits(mask)}
 
     for v in _mask_bits(mask):
         sub = _not_choosable(g, f, mask & ~(1 << v), memo)
         if sub is not None:
-            result = _fresh_pad(dict(sub), v, f[v])
-            memo[mask] = result
-            return result
-    memo[mask] = None
+            return _pad(sub, f, 1 << v)
     return None
 
 

@@ -272,6 +272,19 @@ def test_file_commands_print_one_document(tmp_path_factory, argv, k, u, data):
         ["reduce-check", "D~w", "--k", "5", "--x", "3", "--variant", "symmetric"],
         ["reduce-check", "D~w", "--k", "5", "--x", "3", "--max-states", "1"],
         ["discharge", "Ehfw", "--k", "4", "--mode", "gallai-sec2", "--preset", "ks"],
+        ["reduce-check", "D~w", "--k", "5", "--y", " , "],
+        ["reduce-check", "D~w", "--k", "5", "--y", "1,1,2"],
+        ["verify-trees", "--k", "5", "--n-max", "0"],
+        ["verify-trees", "--k", "5", "--n-max", "-1"],
+        ["chi", "Dhc", "--max-vertices", "-1"],
+        ["choose", "Bw", "--uniform", "2", "--max-vertices", "-1"],
+        ["paint", "Bw", "--uniform", "2", "--max-vertices", "-1"],
+        ["at", "Bw", "--uniform", "2", "--max-edges", "-1"],
+        ["critical", "Bw", "--k", "3", "--max-vertices", "-1"],
+        ["census", "-", "--k", "3", "--notion", "at", "--max-edges", "-1"],
+        ["reduce-check", "D~w", "--k", "5", "--y", "1", "--max-states", "-1"],
+        ["reduce-check", "D~w", "--k", "5", "--x", "3", "--max-edges", "-1"],
+        ["bounds", "--k"],
     ],
 )
 def test_exit_3_on_conflicting_or_unread_options(argv):

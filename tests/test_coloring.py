@@ -157,6 +157,162 @@ def test_zero_entry_means_no_color():
     assert bad[0] == ()
 
 
+def reference_f_choosable(g, f):
+    """is_f_choosable as it was before its search kept only maximal reached
+    masks: the reached sets as a frozenset, an explicit end test, the degree
+    test instead of peeling, and one fresh-colour pad per vertex."""
+    adj = g._adj
+    f = tuple(f)
+
+    def peel(umask, r):
+        changed = True
+        while umask and changed:
+            changed = False
+            for v in _mask_bits(umask):
+                if r[v] >= (adj[v] & umask).bit_count() + 1:
+                    umask &= ~(1 << v)
+                    changed = True
+        return umask
+
+    def connected_supersets(pivot, allowed):
+        out = []
+
+        def grow(cur, frontier, forbidden):
+            out.append(cur)
+            seen = 0
+            for v in _mask_bits(frontier & allowed & ~cur & ~forbidden):
+                grow(cur | 1 << v, frontier | adj[v], forbidden | seen)
+                seen |= 1 << v
+
+        grow(1 << pivot, adj[pivot], 0)
+        return out
+
+    def search_classes(mask):
+        r = [f[v] if mask >> v & 1 else 0 for v in range(g.n)]
+
+        def dfs(reached, classes, prev):
+            active = sum(1 << v for v in _mask_bits(mask) if r[v] > 0)
+            if not active:
+                return None if mask in reached else list(classes)
+            if any(not peel(mask & ~m, r) for m in reached):
+                return None
+            pivot = (active & -active).bit_length() - 1
+            cands = [c for c in connected_supersets(pivot, active) if c.bit_count() >= 2]
+            for c in sorted(cands, key=lambda c: (-c.bit_count(), c)):
+                if prev[0] == pivot and c < prev[1]:
+                    continue
+                for v in _mask_bits(c):
+                    r[v] -= 1
+                grown = reached.union(m | s for m in reached
+                                      for s in _independent_subsets(adj, c))
+                res = dfs(grown, classes + [c], (pivot, c))
+                if res is not None:
+                    return res
+                for v in _mask_bits(c):
+                    r[v] += 1
+            return None
+
+        return dfs(frozenset([0]), [], (-1, 0))
+
+    def fresh_pad(witness, v, count):
+        top = max((c for lst in witness.values() for c in lst), default=-1) + 1
+        out = dict(witness)
+        out[v] = tuple(range(top, top + count))
+        return out
+
+    memo = {}
+
+    def bad(mask):
+        if mask == 0:
+            return None
+        if mask not in memo:
+            memo[mask] = find(mask)
+        return memo[mask]
+
+    def find(mask):
+        for v in _mask_bits(mask):
+            if f[v] == 0:
+                result = {v: ()}
+                for u in _mask_bits(mask & ~(1 << v)):
+                    result = fresh_pad(result, u, f[u])
+                return result
+        comps = _component_masks(adj, mask)
+        if len(comps) > 1:
+            for comp in comps:
+                sub = bad(comp)
+                if sub is not None:
+                    for u in _mask_bits(mask & ~comp):
+                        sub = fresh_pad(sub, u, f[u])
+                    return sub
+            return None
+        if all(f[v] >= (adj[v] & mask).bit_count() + 1 for v in _mask_bits(mask)):
+            return None
+        classes = search_classes(mask)
+        if classes is not None:
+            return {v: tuple(i for i, c in enumerate(classes) if c >> v & 1)
+                    for v in _mask_bits(mask)}
+        for v in _mask_bits(mask):
+            sub = bad(mask & ~(1 << v))
+            if sub is not None:
+                return fresh_pad(sub, v, f[v])
+        return None
+
+    witness = bad((1 << g.n) - 1)
+    return witness is None, witness
+
+
+def assert_real_obstruction(g, f, witness):
+    """Every list has size f(v), and no choice from the lists is proper."""
+    assert sorted(witness) == list(range(g.n))
+    assert all(len(witness[v]) == f[v] for v in range(g.n))
+    edges = list(g.edges())
+    for pick in product(*(witness[v] for v in range(g.n))):
+        assert any(pick[u] == pick[v] for u, v in edges)
+
+
+def choosability_corpus(graphs, seed):
+    """Each graph under f = 2, 3, the degrees, max(degree, 1) and two seeded
+    random vectors."""
+    rng = random.Random(seed)
+    for g in graphs:
+        degs = list(g.degrees())
+        for f in (
+            [2] * g.n,
+            [3] * g.n,
+            degs,
+            [max(d, 1) for d in degs],
+            [rng.randint(0, 4) for _ in range(g.n)],
+            [rng.randint(1, 3) for _ in range(g.n)],
+        ):
+            yield g, f
+
+
+def atlas_graphs(max_n, min_n=1):
+    """Every atlas graph, connected or not, with min_n <= |V| <= max_n."""
+    return [nx_to_graph(h) for h in nx.graph_atlas_g()[1:]
+            if min_n <= h.number_of_nodes() <= max_n]
+
+
+def check_against_reference(graphs, seed):
+    cases = 0
+    for g, f in choosability_corpus(graphs, seed):
+        got = is_f_choosable(g, f)
+        assert got == reference_f_choosable(g, f), (g, f)
+        if not got[0]:
+            assert_real_obstruction(g, f, got[1])
+        cases += 1
+    return cases
+
+
+def test_choosable_matches_reference_on_atlas():
+    assert check_against_reference(atlas_graphs(6), 7) == 1248
+
+
+def test_choosable_matches_reference_on_seven_vertices():
+    graphs = atlas_graphs(7, min_n=7)
+    assert check_against_reference(random.Random(7).sample(graphs, 40), 8) == 240
+
+
 # paintability
 
 def test_paintable_fixtures():
