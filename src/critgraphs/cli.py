@@ -9,6 +9,7 @@ Exit codes: 0 verified/true, 1 falsified, 2 budget exceeded, 3 input error.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -242,8 +243,10 @@ def _critical_decider(args):
 
 
 def _cmd_analyze(args):
-    g = _read_graph(args.graph)
     k = args.k
+    if k < 4:
+        raise PreconditionError("k must be at least 4")
+    g = _read_graph(args.graph)
     if g.is_connected():
         decomp = block_decomposition(g)
         blocks = decomp.blocks
@@ -595,6 +598,10 @@ def _cmd_census(args):
 # ---------------------------------------------------------------------------
 
 
+# built on the first main() call, not at import, and shared by every later
+# call: a parse keeps its state in the Namespace main() passes in, every
+# default is immutable and the subcommand handlers are module functions
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="critgraphs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

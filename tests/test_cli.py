@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import critgraphs
 from conftest import build_charge_instance, stalled_aux_instance
 from critgraphs import Graph, extremal_chain, parse_graph6, write_edge_list, write_graph6
-from critgraphs.cli import main
+from critgraphs.cli import _build_parser, main
+from critgraphs.coloring import CHOOSE_MAX_VERTICES
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -95,6 +96,78 @@ def test_usage_error_prints_one_document(capsys, argv, command):
 def test_help_returns_0(capsys):
     assert main(["chi", "-h"]) == 0
     assert "usage:" in capsys.readouterr().out
+
+
+# main() builds its parser once per process and shares it between calls
+
+def _doc_minus_runtime(argv):
+    code, out = _main_output(argv)
+    doc = json.loads(out)
+    doc.pop("runtime", None)
+    return code, doc
+
+
+# one call of every subcommand, usage errors and help included
+_EVERY_COMMAND = [
+    ["analyze", "Dhc", "--k", "4"],
+    ["bounds", "--k", "5"],
+    ["verify-trees", "--k", "5", "--n-max", "4"],
+    ["construct", "--k", "5", "--m", "1"],
+    ["at", "Dhc", "--uniform", "3"],
+    ["at", "Dhc", "--number"],
+    ["choose", "Dhc", "--uniform", "2"],
+    ["paint", "Dhc", "--f", "2,2,2,2,2"],
+    ["chi", "Dhc"],
+    ["critical", "Dhc", "--k", "3", "--notion", "list"],
+    ["discharge", "Dhc", "--k", "4", "--mode", "gallai-sec2"],
+    ["reduce-check", "D~w", "--k", "5", "--x", "3"],
+    ["census", "-", "--k", "4"],
+    ["at", "Dhc", "--f", "2,2,2,2,2", "--uniform", "3"],
+    ["no-such-command"],
+    ["-h"],
+    ["chi", "-h"],
+]
+
+
+def test_parser_is_built_once():
+    _main_output(["chi", "Dhc"])
+    before = _build_parser.cache_info()
+    for argv in _EVERY_COMMAND:
+        _main_output(argv)
+    after = _build_parser.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + len(_EVERY_COMMAND)
+
+
+@pytest.mark.parametrize(
+    "first,then",
+    [
+        (["at", "Dhc", "--f", "2,2,2,2,2", "--uniform", "3"], ["at", "Dhc", "--uniform", "3"]),
+        (["at", "-h"], ["at", "Dhc", "--uniform", "3"]),
+        (["chi", "-h"], ["chi", "Dhc"]),
+        (["no-such-command"], ["chi", "Dhc"]),
+    ],
+)
+def test_failed_call_leaves_the_parser_as_built(first, then):
+    _build_parser.cache_clear()
+    reference = _doc_minus_runtime(then)
+    first_code, first_out = _main_output(first)
+    assert first_code == (0 if "-h" in first else 3)
+    assert _doc_minus_runtime(then) == reference
+    # and the failed call itself reads the same on the used parser
+    assert _main_output(first) == (first_code, first_out)
+
+
+def test_defaults_do_not_leak_between_calls():
+    code, doc = _doc_minus_runtime(["critical", "Bw", "--k", "3", "--notion", "list", "--max-vertices", "5"])
+    assert code == 0 and doc["budget"]["max_vertices"] == 5
+    code, doc = _doc_minus_runtime(["critical", "Bw", "--k", "3", "--notion", "list"])
+    assert code == 0 and doc["budget"]["max_vertices"] == CHOOSE_MAX_VERTICES
+    code, doc = _doc_minus_runtime(["at", "Dhc", "--number"])
+    assert code == 0 and doc["verdicts"] == {"at_number": 3}
+    code, doc = _doc_minus_runtime(["at", "Dhc", "--uniform", "3"])
+    assert code == 0 and doc["inputs"]["f"] == [3] * 5
+    assert "at_number" not in doc["verdicts"] and doc["verdicts"]["f_at"] is True
 
 
 @pytest.mark.parametrize("command", ["choose", "paint", "at"])
@@ -454,6 +527,19 @@ def test_reports_are_deterministic_modulo_runtime(capsys):
 
 
 # per-command shapes
+
+@pytest.mark.parametrize("k,code", [(-3, 3), (3, 3), (4, 0)])
+def test_analyze_k_starts_at_4(capsys, k, code):
+    got, doc = run(capsys, "analyze", "Dhc", "--k", str(k))
+    assert got == code
+    if code:
+        assert doc["exit"] == 3 and doc["error"] == "k must be at least 4"
+    else:
+        assert doc["inputs"] == {"graph": "Dhc", "k": 4}
+        v = doc["verdicts"]
+        assert (v["n"], v["m"], v["q"], v["blocks"]) == (5, 5, 0, [[0, 1, 2, 3, 4]])
+        assert v["is_gallai_tree"] and v["in_T_k"]
+
 
 def test_analyze_structure_fields(capsys):
     code, doc = run(capsys, "analyze", g6(Graph.wheel(5)), "--k", "4")
