@@ -5,21 +5,22 @@ from typing import Iterator
 from .errors import BudgetExceeded, PreconditionError
 from .graph import Graph
 
-# Enumeration is exponential in n_max: the number of trees, and the time, about
-# triple from n_max = 9 to 10, and no work budget bounds it yet.
+# Enumeration is exponential in n_max: the number of trees about triples from
+# n_max = 9 to 10, and no work budget bounds it yet.  At n_max = 10 it takes
+# about 0.05/0.3/0.4/0.45 s for k = 4/5/6/7 (2-CPU host, Python 3.11.7).
 _ENUM_VERTEX_CAP = 10
 
 
-def _attach(base: Graph, v: int, kind: str, size: int) -> tuple[Graph, tuple[int, ...]]:
-    """Glue a new block (clique or cycle on `size` vertices) onto `base` at
-    vertex v.  Returns the new graph and the block's vertices in cycle order."""
-    n = base.n + size - 1
-    ring = (v, *range(base.n, n))
+def _attach(base: Graph, kind: str, ring: tuple[int, ...]) -> Graph:
+    """Glue a new block (clique or cycle) onto `base`.  `ring` lists the
+    block's vertices in cycle order: a vertex of `base`, then the new labels
+    base.n, base.n + 1, ..."""
+    size = len(ring)
     if kind == "clique":
         extra = [(ring[i], ring[j]) for i in range(size) for j in range(i + 1, size)]
     else:
         extra = [(ring[i], ring[(i + 1) % size]) for i in range(size)]
-    return Graph(n, list(base.edges()) + extra), ring
+    return Graph(base.n + size - 1, list(base.edges()) + extra)
 
 
 def _tree_code(n: int, blocks) -> tuple:
@@ -29,34 +30,57 @@ def _tree_code(n: int, blocks) -> tuple:
     are isomorphic exactly when their codes are equal (Aho, Hopcroft &
     Ullman's tree code on the block-cut tree).
 
-    Rooted at vertex v, entered from block `parent`, v's code is the sorted
-    tuple of the codes of its other blocks.  A clique entered at v is
-    (0, sorted codes of its other vertices); a cycle is (1, the codes of its
-    other vertices read around the ring from v, in the direction giving the
-    smaller sequence).  The tree's code is the least code over all roots.
+    The code is rooted at the centre of the vertex-block incidence tree.
+    Every leaf of that tree is a vertex, so every leaf-to-leaf path has even
+    length and the centre is one node, found by peeling leaves layer by
+    layer.  Entered from block `parent`, vertex v's code is the sorted tuple
+    of the codes of its other blocks.  A clique entered at v is (0, sorted
+    codes of its other vertices); a cycle is (1, the codes of its other
+    vertices read around the ring from v, in the direction giving the
+    smaller sequence).  The root's code is tagged with its kind: a vertex
+    reads the sorted codes of its blocks, a clique the sorted codes of its
+    vertices, a cycle the least sequence of its vertices' codes over every
+    rotation and reflection of the ring.
     """
-    at = [[] for _ in range(n)]
+    if not blocks:
+        return ()
+    # node v < n is vertex v, node n + b is block b
+    links = [[] for _ in range(n)]
     for b, (_, ring) in enumerate(blocks):
         for v in ring:
-            at[v].append(b)
-    memo: dict[tuple[int, int], tuple] = {}
-
-    def vertex_code(v: int, parent: int) -> tuple:
-        key = (v, parent)
-        code = memo.get(key)
-        if code is None:
-            code = memo[key] = tuple(sorted(block_code(b, v) for b in at[v] if b != parent))
-        return code
-
-    def block_code(b: int, v: int) -> tuple:
-        kind, ring = blocks[b]
-        if kind == "clique":
-            return (0, tuple(sorted(vertex_code(u, b) for u in ring if u != v)))
-        i = ring.index(v)
-        seq = tuple(vertex_code(u, b) for u in ring[i + 1:] + ring[:i])
-        return (1, min(seq, seq[::-1]))
-
-    return min(vertex_code(r, -1) for r in range(n))
+            links[v].append(n + b)
+    links += [ring for _, ring in blocks]
+    left = [len(x) for x in links]
+    code: list = [None] * len(links)
+    layer = [v for v in range(n) if left[v] == 1]
+    peeled = 0
+    while peeled + len(layer) < len(links):
+        peeled += len(layer)
+        grown = []
+        for x in layer:
+            parent = next(y for y in links[x] if code[y] is None)
+            if x < n:
+                code[x] = tuple(sorted(code[b] for b in links[x] if b != parent))
+            else:
+                ring = links[x]
+                if blocks[x - n][0] == "clique":
+                    code[x] = (0, tuple(sorted(code[u] for u in ring if u != parent)))
+                else:
+                    i = ring.index(parent)
+                    seq = tuple(code[u] for u in ring[i + 1:] + ring[:i])
+                    code[x] = (1, min(seq, seq[::-1]))
+            left[parent] -= 1
+            if left[parent] == 1:
+                grown.append(parent)
+        layer = grown
+    (root,) = layer
+    if root < n:
+        return ("vertex", tuple(sorted(code[b] for b in links[root])))
+    kind, ring = blocks[root - n]
+    if kind == "clique":
+        return (kind, tuple(sorted(code[u] for u in ring)))
+    seq = tuple(code[u] for u in ring)
+    return (kind, min(s[i:] + s[:i] for s in (seq, seq[::-1]) for i in range(len(seq))))
 
 
 def enumerate_gallai_trees(k: int, n_max: int) -> Iterator[Graph]:
@@ -76,31 +100,30 @@ def enumerate_gallai_trees(k: int, n_max: int) -> Iterator[Graph]:
     # Every member arises from a smaller one by gluing a leaf block at a cut
     # vertex: cliques K_2..K_{k-1} or odd cycles (C_3 is K_3).  K_k never
     # appears because clique blocks stop at k-1.  Each graph carries its
-    # block list, so its canonical code needs no search of the graph.
+    # block list, so its canonical code needs no search of the graph, and
+    # a candidate's Graph is built only when its code is new.
     catalog = [("clique", t) for t in range(2, k)]
     catalog += [("cycle", t) for t in range(5, n_max + 1, 2)]
 
-    seen: set[tuple[int, tuple]] = set()
+    seen: set[tuple] = set()
     order: dict[int, list[tuple[Graph, tuple]]] = {n: [] for n in range(1, n_max + 1)}
-
-    def register(g: Graph, blocks: tuple) -> None:
-        key = (g.n, _tree_code(g.n, blocks))
-        if key not in seen:
-            seen.add(key)
-            order[g.n].append((g, blocks))
-
-    register(Graph(1), ())
+    order[1].append((Graph(1), ()))
     for n in range(1, n_max + 1):
         for g, blocks in order[n]:
             yield g
             for kind, size in catalog:
-                if n + size - 1 > n_max:
+                m = n + size - 1
+                if m > n_max:
                     continue
                 gain = size - 1 if kind == "clique" else 2
                 for v in range(n):
                     if g.degree(v) + gain <= k - 1:
-                        h, ring = _attach(g, v, kind, size)
-                        register(h, blocks + ((kind, ring),))
+                        ring = (v, *range(n, m))
+                        grown = blocks + ((kind, ring),)
+                        code = _tree_code(m, grown)
+                        if code not in seen:
+                            seen.add(code)
+                            order[m].append((_attach(g, kind, ring), grown))
 
 
 def _chain_order(k: int, m: int) -> int:

@@ -70,13 +70,13 @@ def test_criterion_1_reference_table():
 def test_criterion_2_tree_bound_sweep():
     t0 = time.monotonic()
     counts = {}
-    for k, n_max in ((5, 9), (6, 9), (7, 8)):
+    for k, n_max in ((5, 10), (6, 10), (7, 10)):
         checked = 0
         for g in enumerate_gallai_trees(k, n_max):
             assert tree_bound_failures(g, k) == [], (k, g)
             checked += 1
         counts[k] = checked
-    assert counts == {5: 468, 6: 679, 7: 272}
+    assert counts == {5: 1254, 6: 2004, 7: 2391}
     dt = time.monotonic() - t0
     assert dt < 600
     print(

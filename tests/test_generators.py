@@ -1,5 +1,7 @@
 """Gallai-tree enumeration and the two tight construction families."""
 
+import gc
+import hashlib
 from fractions import Fraction as F
 from random import Random
 
@@ -45,6 +47,33 @@ def test_enumeration_guards():
     with pytest.raises(BudgetExceeded):
         list(enumerate_gallai_trees(5, 11))
     assert list(enumerate_gallai_trees(5, 0)) == []
+
+
+@pytest.mark.parametrize(
+    "k, count, digest",
+    [
+        (4, 357, "11194a5d270c5105d16dbb67dc2db08894a2e1dd4a7e179908200ab2922e90dc"),
+        (5, 1254, "3a4e8d47151cc9c83ce2919764094bc99a143f836a9b69f6e15bb386a1dc5a59"),
+        (6, 2004, "c4ec47d2cf42304a097c8a5d69e05df2d94ddf59e26f50ad7968a2ffca8f7835"),
+        (7, 2391, "ea4eccaf25a40fcb33a1c7140ace466192aee64e49449c240365a46d2050bd79"),
+    ],
+)
+def test_enumeration_listing_is_pinned_at_ten_vertices(k, count, digest):
+    """The same labelled graphs in the same order up to 10 vertices as the
+    all-roots code gave: the sha256 of the listing was taken with it."""
+    listing = [(g.n, sorted(g.edges())) for g in enumerate_gallai_trees(k, 10)]
+    assert len(listing) == count
+    assert hashlib.sha256(repr(listing).encode()).hexdigest() == digest
+
+
+def test_enumeration_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        list(enumerate_gallai_trees(5, 8))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("k", [4, 5, 6])
@@ -94,7 +123,7 @@ def reference_gallai_trees(k, n_max):
                 gain = size - 1 if kind == "clique" else 2
                 for v in range(n):
                     if g.degree(v) + gain <= k - 1:
-                        register(_attach(g, v, kind, size)[0])
+                        register(_attach(g, kind, (v, *range(n, n + size - 1))))
 
 
 @pytest.mark.parametrize("k", [4, 5, 6, 7])
@@ -122,30 +151,100 @@ def tree_blocks(g):
     return blocks
 
 
+def all_roots_code(n, blocks):
+    """The tree code taken from every vertex as root, keeping the least: the
+    reference that `_tree_code`, rooted at the centre only, must match."""
+    at = [[] for _ in range(n)]
+    for b, (_, ring) in enumerate(blocks):
+        for v in ring:
+            at[v].append(b)
+    memo = {}
+
+    def vertex_code(v, parent):
+        key = (v, parent)
+        if key not in memo:
+            memo[key] = tuple(sorted(block_code(b, v) for b in at[v] if b != parent))
+        return memo[key]
+
+    def block_code(b, v):
+        kind, ring = blocks[b]
+        if kind == "clique":
+            return (0, tuple(sorted(vertex_code(u, b) for u in ring if u != v)))
+        i = ring.index(v)
+        seq = tuple(vertex_code(u, b) for u in ring[i + 1:] + ring[:i])
+        return (1, min(seq, seq[::-1]))
+
+    return min(vertex_code(r, -1) for r in range(n))
+
+
+def candidates(k, n_max):
+    """(n, blocks) for every candidate the enumeration codes: each kept tree
+    with one more leaf block glued on, as its growth step does."""
+    catalog = [("clique", t) for t in range(2, k)]
+    catalog += [("cycle", t) for t in range(5, n_max + 1, 2)]
+    for g in enumerate_gallai_trees(k, n_max):
+        blocks = tuple(tree_blocks(g))
+        for kind, size in catalog:
+            m = g.n + size - 1
+            if m > n_max:
+                continue
+            gain = size - 1 if kind == "clique" else 2
+            for v in range(g.n):
+                if g.degree(v) + gain <= k - 1:
+                    yield m, blocks + ((kind, (v, *range(g.n, m))),)
+
+
+@pytest.mark.parametrize("k", [4, 5, 6, 7])
+def test_centre_code_matches_all_roots_code(k):
+    """On every candidate up to 8 vertices, old code -> new code is a
+    bijection on each vertex count."""
+    forward, backward = {}, {}
+    seen = 0
+    for n, blocks in candidates(k, 8):
+        old, new = all_roots_code(n, blocks), _tree_code(n, blocks)
+        assert forward.setdefault((n, old), new) == new
+        assert backward.setdefault((n, new), old) == old
+        seen += 1
+    assert seen > len(forward)
+
+
 def test_tree_code_ignores_labels():
     """Relabel the vertices, reorder the blocks and each clique, and rotate
-    and sometimes reflect each cycle: the code stays the same."""
+    and sometimes reflect each cycle: the code stays the same.  The trees
+    cover every kind of centre: a vertex, a clique and a cycle."""
     rng = Random(8)
     cycles = 0
-    for g in enumerate_gallai_trees(6, 8):
-        blocks = tree_blocks(g)
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        moved = []
-        for kind, ring in blocks:
-            ring = [perm[v] for v in ring]
-            if kind == "clique":
-                rng.shuffle(ring)
-            else:
-                cycles += 1
-                r = rng.randrange(len(ring))
-                ring = ring[r:] + ring[:r]
-                if rng.random() < 0.5:
-                    ring.reverse()
-            moved.append((kind, tuple(ring)))
-        rng.shuffle(moved)
-        assert _tree_code(g.n, moved) == _tree_code(g.n, blocks)
+    for k in (4, 5, 6, 7):
+        centres = set()
+        for g in enumerate_gallai_trees(k, 8):
+            blocks = tree_blocks(g)
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            moved = []
+            for kind, ring in blocks:
+                ring = [perm[v] for v in ring]
+                if kind == "clique":
+                    rng.shuffle(ring)
+                else:
+                    cycles += 1
+                    r = rng.randrange(len(ring))
+                    ring = ring[r:] + ring[:r]
+                    if rng.random() < 0.5:
+                        ring.reverse()
+                moved.append((kind, tuple(ring)))
+            rng.shuffle(moved)
+            code = _tree_code(g.n, blocks)
+            assert _tree_code(g.n, moved) == code
+            if g.n > 1:
+                centres.add(code[0])
+        assert centres == {"vertex", "clique", "cycle"}, k
+        clique = tuple(range(k - 1))
+        assert _tree_code(k - 1, [("clique", clique)])[0] == "clique"
     assert cycles > 0
+    for size in (5, 7):
+        assert _tree_code(size, [("cycle", tuple(range(size)))])[0] == "cycle"
+    bowtie = [("clique", (0, 1, 2)), ("clique", (0, 3, 4))]
+    assert _tree_code(5, bowtie)[0] == "vertex"
 
 
 def test_enumerated_trees_really_qualify():
