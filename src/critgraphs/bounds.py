@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import PreconditionError
-from .graph import Graph, contains_clique
-from .structure import REGIMES, q_value, regime
+from .graph import Graph
+from .structure import REGIMES, _w_q, regime
 
 F = Fraction
 
@@ -166,14 +166,14 @@ def tree_bound_failures(g: Graph, k: int) -> list[str]:
     """The four per-tree bounds on 2||G|| (Lemmas 2.2, 3.1 and Corollary
     3.3) for a Gallai tree g; returns the names of any that fail."""
     n, m2 = g.n, 2 * g.m
-    q = q_value(g, k)
+    w, q = _w_q(g._adj, (1 << n) - 1, k)
     refined = refined_tree_bound(k, n)
     failures = []
     if not m2 < refined + 2:
         failures.append("basic-strict")
     if not m2 <= refined:
         failures.append("refined-minus-2")
-    if contains_clique(g, k - 1)[0]:
+    if w:
         if not m2 <= tree_bound_rhs(preset_params(k, "smallP"), n, q):
             failures.append("with-clique")
     else:

@@ -247,7 +247,8 @@ def _cmd_analyze(args):
     if k < 4:
         raise PreconditionError("k must be at least 4")
     g = _read_graph(args.graph)
-    if g.is_connected():
+    connected = g.is_connected()
+    if connected:
         decomp = block_decomposition(g)
         blocks = decomp.blocks
         cuts = decomp.cut_vertices
@@ -268,13 +269,13 @@ def _cmd_analyze(args):
         "n": g.n,
         "m": g.m,
         "degrees": [g.degree(v) for v in range(g.n)],
-        "connected": g.is_connected(),
+        "connected": connected,
         "is_gallai_tree": is_gallai_tree(g),
         "in_T_k": in_t_k(g, k),
         "blocks": [sorted(b) for b in blocks],
         "cut_vertices": sorted(cuts),
         "w_vertices": sorted(w_k(g, k)),
-        "q": q_value(g, k) if g.is_connected() else None,
+        "q": q_value(g, k) if connected else None,
         "l_components": [sorted(c) for c in split.l_components],
         "h_vertices": sorted(split.h_vertices),
         "higher_vertices": sorted(split.higher_vertices),
@@ -469,12 +470,13 @@ def _cmd_discharge(args):
     }
     audits = []
     audit_failures = []
-    for comp in low_high_split(g, k).l_components:
+    for share in ledger.component_shares:
+        comp = share.vertices
         try:
-            a = tree_charge_audit(g, sorted(comp), params, ledger)
+            a = tree_charge_audit(g, comp, params, ledger)
             audits.append(
                 {
-                    "component": sorted(comp),
+                    "component": comp,
                     "A": a.A,
                     "q": a.q,
                     "received": _rat(a.received),
@@ -483,7 +485,7 @@ def _cmd_discharge(args):
                 }
             )
         except AssertionError as e:
-            audit_failures.append({"component": sorted(comp), "error": str(e)})
+            audit_failures.append({"component": comp, "error": str(e)})
     verdicts["audits"] = audits
     if audit_failures:
         verdicts["audit_failures"] = audit_failures

@@ -15,7 +15,7 @@ from typing import Optional, Union
 from .bounds import BoundParams, check_regime, epsilon
 from .errors import EliminationFailed, PreconditionError
 from .graph import Graph, _clique_vertices, _mask_bits, _vertex_mask
-from .structure import REGIMES, _in_t_k, _q, build_auxiliary, eliminate, low_high_split, regime
+from .structure import REGIMES, _in_t_k, _w_q, build_auxiliary, eliminate, low_high_split, regime
 
 Node = Union[int, str]
 
@@ -229,10 +229,10 @@ class SponsorStats:
 def sponsorship_stats(g: Graph, params: DischargeParams, ledger: ChargeLedger) -> SponsorStats:
     """Read the rule-3 bookkeeping back out of a ledger: how many gammas each
     k-vertex sent, and per component how many of its q(T) boundary edges
-    carried no gamma."""
-    adj = g._adj
-    aux = build_auxiliary(g, params.k)
-    gamma_counts = dict.fromkeys(aux.y_vertices, 0)
+    carried no gamma.  The components are the ledger's own."""
+    adj, k = g._adj, params.k
+    ys = [v for v, d in enumerate(g.degrees()) if d == k]
+    gamma_counts = dict.fromkeys(ys, 0)
     got_gamma: dict = {}  # per vertex, the mask of vertices that sent it a gamma
     for r, s, d, _ in ledger.transfers:
         if r in ("R3ai", "R3bi") and s in gamma_counts:
@@ -241,13 +241,13 @@ def sponsorship_stats(g: Graph, params: DischargeParams, ledger: ChargeLedger) -
             got_gamma[d] = got_gamma.get(d, 0) | 1 << s
     unsponsored = {}
     max_w = 0
-    for i, (comp, wset) in enumerate(zip(aux.tree_components, aux.w_sets)):
-        outside = ~_vertex_mask(comp)
+    for i, share in enumerate(ledger.component_shares):
+        comp = _vertex_mask(share.vertices)
+        w = _clique_vertices(adj, comp, k - 1)
         unsponsored[i] = sum(
-            (adj[x] & outside & ~got_gamma.get(x, 0)).bit_count() for x in wset
+            (adj[x] & ~comp & ~got_gamma.get(x, 0)).bit_count() for x in _mask_bits(w)
         )
-        w = _vertex_mask(wset)
-        max_w = max([max_w] + [(adj[y] & w).bit_count() for y in aux.y_vertices])
+        max_w = max([max_w] + [(adj[y] & w).bit_count() for y in ys])
     return SponsorStats(gamma_counts, unsponsored, max_w)
 
 
@@ -269,10 +269,12 @@ def tree_charge_audit(
     c is the mode's count of gammas a tree may miss (structure.REGIMES)."""
     k = params.k
     members = sorted(component)
+    if not all(0 <= v < g.n for v in members):
+        raise PreconditionError("component holds a non-vertex", witness=members)
     adj, mask = g._adj, _vertex_mask(members)
     if not _in_t_k(adj, mask, k):
         raise PreconditionError("component outside the tree family", witness=members)
-    q = _q(adj, mask, k)
+    w, q = _w_q(adj, mask, k)
     # 2|E(T)| is the sum of the degrees inside T
     two_m = sum((adj[v] & mask).bit_count() for v in members)
     a_val = (k - 1) * len(members) - two_m - q
@@ -282,7 +284,7 @@ def tree_charge_audit(
         Fraction(0),
     )
     floor = params.epsilon * (2 - params.bp.p) * len(members)
-    has_clique = _clique_vertices(adj, mask, k - 1) != 0
+    has_clique = w != 0
     if has_clique:
         lower = params.epsilon * a_val + params.gamma * (q - REGIMES[params.mode].c)
     else:

@@ -129,11 +129,13 @@ def _in_t_k(adj, mask: int, k: int) -> bool:
     return _is_gallai(adj, mask)
 
 
-def _q(adj, mask: int, k: int) -> int:
-    """q of the subgraph induced on mask, which must be connected: its
-    vertices in some K_{k-1} that are not cut vertices."""
+def _w_q(adj, mask: int, k: int) -> tuple[int, int]:
+    """W and q of the subgraph induced on mask, which must be connected: the
+    mask of its vertices in some K_{k-1}, and how many of those are not cut
+    vertices."""
     _, cuts = _connected_blocks(adj, mask)
-    return (_clique_vertices(adj, mask, k - 1) & ~cuts).bit_count()
+    w = _clique_vertices(adj, mask, k - 1)
+    return w, (w & ~cuts).bit_count()
 
 
 def is_gallai_tree(g: Graph) -> bool:
@@ -154,7 +156,7 @@ def w_k(g: Graph, k: int) -> frozenset:
 
 def q_value(g: Graph, k: int) -> int:
     """Number of non-cut vertices among those in some K_{k-1}."""
-    return _q(g._adj, (1 << g.n) - 1, k)
+    return _w_q(g._adj, (1 << g.n) - 1, k)[1]
 
 
 @dataclass(frozen=True)
@@ -212,12 +214,12 @@ def build_aux_partition(
     complement of y_vertices)."""
     ys = sorted(set(y_vertices))
     if tree_vertices is None:
-        tree_pool = [v for v in range(g.n) if v not in set(ys)]
+        tree_pool = [v for v in range(g.n) if v not in ys]
     else:
         tree_pool = sorted(set(tree_vertices))
-        for v in tree_pool:
-            if not 0 <= v < g.n:
-                raise ValueError(f"vertex {v} out of range")
+    for v in ys + tree_pool:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
     comps = _component_masks(g._adj, _vertex_mask(tree_pool))
     # W of a component is taken in the component alone: a marked vertex that
     # completes a K_{k-1} with tree vertices does not put them in W

@@ -2,8 +2,11 @@
 
 from fractions import Fraction as F
 
+import networkx as nx
 import pytest
 
+import critgraphs.graph as graph_module
+from conftest import nx_to_graph
 from critgraphs import (
     BoundParams,
     PreconditionError,
@@ -11,15 +14,20 @@ from critgraphs import (
     check_lemma32,
     check_thm41,
     check_thm43,
+    contains_clique,
     dirac_bound,
+    enumerate_gallai_trees,
     g_family,
     ky_asymptotic,
     ky_bound,
     main_bound,
     preset_params,
+    q_value,
     table1,
+    tree_bound_failures,
     tree_bound_rhs,
 )
+from critgraphs.bounds import refined_tree_bound
 from critgraphs.discharge import gallai_target
 
 
@@ -183,3 +191,65 @@ def test_table_exact_cells():
 def test_table_rejects_small_k():
     with pytest.raises(PreconditionError):
         table1([3])
+
+
+# the per-tree checks, against the form that found W twice
+
+def reference_tree_bound_failures(g, k):
+    """tree_bound_failures with W searched for twice: q from q_value, and
+    the branch from contains_clique."""
+    n, m2 = g.n, 2 * g.m
+    q = q_value(g, k)
+    refined = refined_tree_bound(k, n)
+    failures = []
+    if not m2 < refined + 2:
+        failures.append("basic-strict")
+    if not m2 <= refined:
+        failures.append("refined-minus-2")
+    if contains_clique(g, k - 1)[0]:
+        if not m2 <= tree_bound_rhs(small_p(k), n, q):
+            failures.append("with-clique")
+    else:
+        bp = BoundParams(k=k, p=F(3, k - 2), f=F(-3), h=F(0))
+        if not m2 <= tree_bound_rhs(bp, n, 0):
+            failures.append("without-clique")
+    return failures
+
+
+def failures_outcome(f, g, k):
+    try:
+        return f(g, k)
+    except Exception as e:  # the outcome is compared, whatever it is
+        return (type(e).__name__, str(e))
+
+
+def test_tree_bound_failures_match_the_two_search_form():
+    # every Gallai tree up to 8 vertices for k = 4..8, and the atlas graphs
+    # 1-399 (some disconnected, some k too small for the presets) at k = 2..6
+    cases = [(g, k) for k in range(4, 9) for g in enumerate_gallai_trees(k, 8)]
+    atlas = [nx_to_graph(h) for h in nx.graph_atlas_g()[1:400]]
+    cases += [(g, k) for g in atlas for k in range(2, 7)]
+    seen = set()
+    for g, k in cases:
+        want = failures_outcome(reference_tree_bound_failures, g, k)
+        assert failures_outcome(tree_bound_failures, g, k) == want, (g.edges(), k)
+        seen.add(want[1].split()[0] if isinstance(want, tuple) else contains_clique(g, k - 1)[0])
+    assert len(cases) == 3055
+    # both branches ran, and both refusals: a disconnected graph, k below the presets'
+    assert seen == {True, False, "graph", "presets"}
+
+
+def test_tree_bound_failures_search_cliques_once(monkeypatch):
+    trees = list(enumerate_gallai_trees(5, 8))
+    searches = 0
+    expand = graph_module._expand
+
+    def counted(adj, r, p, x, t=0):
+        nonlocal searches
+        searches += r == 0  # a recursive call always holds a vertex in r
+        return expand(adj, r, p, x, t)
+
+    monkeypatch.setattr(graph_module, "_expand", counted)
+    for g in trees:
+        tree_bound_failures(g, 5)
+    assert searches == len(trees)

@@ -6,6 +6,8 @@ from random import Random
 
 import pytest
 
+import critgraphs.discharge as discharge_module
+import critgraphs.structure as structure_module
 from conftest import build_charge_instance, charge_corpus, stalled_aux_instance
 from critgraphs import (
     BoundParams,
@@ -302,12 +304,31 @@ def test_flows_by_rule():
     assert ledger.outflow(24, {"R1"}) == 4 * pr.epsilon
 
 
+def test_sponsorship_reads_the_ledgers_components(monkeypatch):
+    # the auxiliary graph is built once, by the discharge, and never again
+    g, k = three_ai_instance()
+    pr = params_for(k)
+    built = []
+    build = structure_module.build_auxiliary
+
+    def counted(g, k):
+        built.append(k)
+        return build(g, k)
+
+    for module in (discharge_module, structure_module):
+        monkeypatch.setattr(module, "build_auxiliary", counted)
+    ledger = run_main_discharge(g, pr)
+    sponsorship_stats(g, pr, ledger)
+    assert built == [k]
+
+
 def test_audit_rejects_foreign_components():
     g, k = three_ai_instance()
     pr = params_for(k)
     ledger = run_main_discharge(g, pr)
-    with pytest.raises(PreconditionError):
-        tree_charge_audit(g, tuple(range(24, 31)), pr, ledger)
+    for comp in (tuple(range(24, 31)), (0, 999), (-1, 0)):
+        with pytest.raises(PreconditionError):
+            tree_charge_audit(g, comp, pr, ledger)
     with pytest.raises(AssertionError):
         # two high vertices induce a K_2 but received nothing
         tree_charge_audit(g, (18, 19), pr, ledger)

@@ -33,7 +33,7 @@ from critgraphs.structure import (
     EliminationResult,
     _blocks,
     _in_t_k,
-    _q,
+    _w_q,
 )
 
 
@@ -105,7 +105,9 @@ def test_mask_answers_match_the_induced_copy(n, data):
     )
     assert frozenset(_mask_bits(cuts)) == frozenset(verts[v] for v in bd.cut_vertices)
     for k in range(1, 9):
-        assert _q(g._adj, mask, k) == q_value(sub, k)
+        w, q = _w_q(g._adj, mask, k)
+        assert q == q_value(sub, k)
+        assert frozenset(_mask_bits(w)) == nx_w(g, k, verts)
 
 
 # Gallai trees
@@ -281,6 +283,10 @@ def test_aux_partition_accepts_explicit_sides():
     for bad in ([0, 5], [-1, 0]):
         with pytest.raises(ValueError, match="out of range"):
             build_aux_partition(g, [3], 5, bad)
+    # marked vertices are range-checked too: adj[-1] would be vertex 4's row
+    for bad in ([-1], [7]):
+        with pytest.raises(ValueError, match="vertex %d out of range" % bad[0]):
+            build_aux_partition(g, bad, 5)
 
 
 def test_aux_w_sets_match_networkx():
