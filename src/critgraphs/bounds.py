@@ -9,12 +9,14 @@ from the rounded exact value.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import PreconditionError
-from .graph import Graph
+from .generators import _gallai_trees
+from .graph import Graph, _vertex_mask
 from .structure import REGIMES, _w_q, regime
 
 F = Fraction
@@ -162,25 +164,62 @@ def refined_tree_bound(k: int, n: int) -> Fraction:
     return (k - 2 + F(2, k - 1)) * n - 2
 
 
-def tree_bound_failures(g: Graph, k: int) -> list[str]:
-    """The four per-tree bounds on 2||G|| (Lemmas 2.2, 3.1 and Corollary
-    3.3) for a Gallai tree g; returns the names of any that fail."""
-    n, m2 = g.n, 2 * g.m
-    w, q = _w_q(g._adj, (1 << n) - 1, k)
+@functools.cache
+def _tree_limits(k: int, n: int, q: Optional[int]) -> tuple[Fraction, Fraction]:
+    """Lemma 2.2's refined bound on 2||T|| for a tree on n vertices, and the
+    bound of Lemma 3.1 (q is None: T has no K_{k-1}) or of Corollary 3.3
+    (q non-cut vertices in some K_{k-1})."""
     refined = refined_tree_bound(k, n)
+    if q is None:
+        limit = tree_bound_rhs(BoundParams(k=k, p=F(3, k - 2), f=F(-3), h=F(0)), n, 0)
+    else:
+        limit = tree_bound_rhs(preset_params(k, "smallP"), n, q)
+    return refined, limit
+
+
+def _tree_failures(k: int, n: int, m2: int, w: int, q: int) -> list[str]:
+    """The names of the per-tree bounds that fail for a tree on n vertices
+    with 2||T|| = m2, W mask w and q."""
+    refined, limit = _tree_limits(k, n, q if w else None)
     failures = []
-    if not m2 < refined + 2:
+    if not m2 - 2 < refined:
         failures.append("basic-strict")
     if not m2 <= refined:
         failures.append("refined-minus-2")
-    if w:
-        if not m2 <= tree_bound_rhs(preset_params(k, "smallP"), n, q):
-            failures.append("with-clique")
-    else:
-        bp = BoundParams(k=k, p=F(3, k - 2), f=F(-3), h=F(0))
-        if not m2 <= tree_bound_rhs(bp, n, 0):
-            failures.append("without-clique")
+    if not m2 <= limit:
+        failures.append("with-clique" if w else "without-clique")
     return failures
+
+
+def tree_bound_failures(g: Graph, k: int) -> list[str]:
+    """The four per-tree bounds on 2||G|| (Lemmas 2.2, 3.1 and Corollary
+    3.3) for a Gallai tree g; returns the names of any that fail."""
+    w, q = _w_q(g._adj, (1 << g.n) - 1, k)
+    return _tree_failures(k, g.n, 2 * g.m, w, q)
+
+
+def _blocks_w_q(blocks, k: int) -> tuple[int, int]:
+    """W and q of a Gallai tree from its block list, as _w_q gives them.
+    W is the union of the clique blocks on k-1 vertices: clique blocks stop
+    at k-1 and a cycle block of length 5 or more holds no triangle, so every
+    K_{k-1} is one of them.  The cut vertices lie in two blocks or more."""
+    w = seen = cuts = 0
+    for kind, ring in blocks:
+        b = _vertex_mask(ring)
+        cuts |= seen & b
+        seen |= b
+        if kind == "clique" and len(ring) == k - 1:
+            w |= b
+    return w, (w & ~cuts).bit_count()
+
+
+def _tree_bound_sweep(k: int, n_max: int) -> Iterator[tuple[Graph, list[str]]]:
+    """(g, tree_bound_failures(g, k)) for each g of
+    enumerate_gallai_trees(k, n_max), with W and q read off the block list
+    the enumeration built g from."""
+    for g, blocks in _gallai_trees(k, n_max):
+        w, q = _blocks_w_q(blocks, k)
+        yield g, _tree_failures(k, g.n, 2 * g.m, w, q)
 
 
 def main_bound(k: int, variant: str, bp: BoundParams) -> Fraction:

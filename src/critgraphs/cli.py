@@ -19,12 +19,12 @@ from fractions import Fraction
 
 from .bounds import (
     TABLE1_COLUMNS,
+    _tree_bound_sweep,
     dirac_bound,
     ky_bound,
     preset_params,
     refined_tree_bound,
     table1,
-    tree_bound_failures,
     tree_bound_rhs,
 )
 from .coloring import (
@@ -55,7 +55,6 @@ from .generators import (
     _chain_order,
     _clique_path_order,
     clique_path,
-    enumerate_gallai_trees,
     extremal_chain,
 )
 from .graph import (
@@ -306,9 +305,8 @@ def _cmd_verify_trees(args):
     k = args.k
     checked = 0
     violations = []
-    for g in enumerate_gallai_trees(k, args.n_max):
+    for g, failures in _tree_bound_sweep(k, args.n_max):
         checked += 1
-        failures = tree_bound_failures(g, k)
         if failures:
             violations.append({"graph": write_graph6(g), "failed": failures})
     verdicts = {

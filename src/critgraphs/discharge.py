@@ -272,6 +272,8 @@ def tree_charge_audit(
     if not all(0 <= v < g.n for v in members):
         raise PreconditionError("component holds a non-vertex", witness=members)
     adj, mask = g._adj, _vertex_mask(members)
+    if mask.bit_count() != len(members):
+        raise PreconditionError("component repeats a vertex", witness=members)
     if not _in_t_k(adj, mask, k):
         raise PreconditionError("component outside the tree family", witness=members)
     w, q = _w_q(adj, mask, k)

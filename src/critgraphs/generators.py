@@ -1,5 +1,7 @@
 """Exhaustive enumeration of degree-bounded Gallai trees and the extremal chain families."""
 
+from functools import reduce
+from operator import xor
 from typing import Iterator
 
 from .errors import BudgetExceeded, PreconditionError
@@ -7,7 +9,9 @@ from .graph import Graph
 
 # Enumeration is exponential in n_max: the number of trees about triples from
 # n_max = 9 to 10, and no work budget bounds it yet.  At n_max = 10 it takes
-# about 0.05/0.3/0.4/0.45 s for k = 4/5/6/7 (2-CPU host, Python 3.11.7).
+# about 0.03/0.13/0.23/0.28 s of CPU for k = 4/5/6/7, and verify-trees, which
+# checks the bounds on the way, 0.04/0.15/0.24/0.29 s (best of 9, 2-CPU host,
+# Python 3.11.7).
 _ENUM_VERTEX_CAP = 10
 
 
@@ -51,6 +55,8 @@ def _tree_code(n: int, blocks) -> tuple:
             links[v].append(n + b)
     links += [ring for _, ring in blocks]
     left = [len(x) for x in links]
+    # the xor of each node's unpeeled neighbours: with one left, it is that one
+    rest = [reduce(xor, x) for x in links]
     code: list = [None] * len(links)
     layer = [v for v in range(n) if left[v] == 1]
     peeled = 0
@@ -58,7 +64,7 @@ def _tree_code(n: int, blocks) -> tuple:
         peeled += len(layer)
         grown = []
         for x in layer:
-            parent = next(y for y in links[x] if code[y] is None)
+            parent = rest[x]
             if x < n:
                 code[x] = tuple(sorted(code[b] for b in links[x] if b != parent))
             else:
@@ -69,6 +75,7 @@ def _tree_code(n: int, blocks) -> tuple:
                     i = ring.index(parent)
                     seq = tuple(code[u] for u in ring[i + 1:] + ring[:i])
                     code[x] = (1, min(seq, seq[::-1]))
+            rest[parent] ^= x
             left[parent] -= 1
             if left[parent] == 1:
                 grown.append(parent)
@@ -88,6 +95,14 @@ def enumerate_gallai_trees(k: int, n_max: int) -> Iterator[Graph]:
     cliques or odd cycles, with maximum degree <= k-1, excluding K_k itself.
     One representative per isomorphism class, in nondecreasing vertex count.
     """
+    for g, _ in _gallai_trees(k, n_max):
+        yield g
+
+
+def _gallai_trees(k: int, n_max: int) -> Iterator[tuple[Graph, tuple]]:
+    """enumerate_gallai_trees with each tree's block list: (g, blocks), where
+    blocks is a tuple of (kind, ring) as _tree_code reads it, in the order
+    the blocks were glued on."""
     if k < 4:
         raise PreconditionError("k must be at least 4", witness=k)
     if n_max > _ENUM_VERTEX_CAP:
@@ -110,7 +125,7 @@ def enumerate_gallai_trees(k: int, n_max: int) -> Iterator[Graph]:
     order[1].append((Graph(1), ()))
     for n in range(1, n_max + 1):
         for g, blocks in order[n]:
-            yield g
+            yield g, blocks
             for kind, size in catalog:
                 m = n + size - 1
                 if m > n_max:

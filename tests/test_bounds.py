@@ -27,8 +27,15 @@ from critgraphs import (
     tree_bound_failures,
     tree_bound_rhs,
 )
-from critgraphs.bounds import refined_tree_bound
+from critgraphs.bounds import (
+    _blocks_w_q,
+    _tree_bound_sweep,
+    _tree_limits,
+    refined_tree_bound,
+)
 from critgraphs.discharge import gallai_target
+from critgraphs.generators import _gallai_trees
+from critgraphs.structure import _w_q
 
 
 def small_p(k):
@@ -253,3 +260,31 @@ def test_tree_bound_failures_search_cliques_once(monkeypatch):
     for g in trees:
         tree_bound_failures(g, 5)
     assert searches == len(trees)
+
+
+def test_tree_bound_sweep_agrees_with_the_graph_path():
+    # W and q off the block list against a block search and a clique search
+    # of the graph, and the sweep's verdicts against tree_bound_failures
+    seen = set()
+    for k in range(4, 9):
+        sweep = list(_tree_bound_sweep(k, 9))
+        trees = list(_gallai_trees(k, 9))
+        assert len(sweep) == len(trees)
+        for (g, blocks), (h, failures) in zip(trees, sweep):
+            assert h == g
+            w_q = _blocks_w_q(blocks, k)
+            assert w_q == _w_q(g._adj, (1 << g.n) - 1, k), (g.edges(), k)
+            assert failures == tree_bound_failures(g, k), (g.edges(), k)
+            seen.add((w_q[0] != 0, tuple(failures)))
+    # both branches ran, and some tree failed a bound (k = 4 has failures)
+    assert {(True, ()), (False, ())} < seen
+
+
+def test_tree_limits_are_the_uncached_bounds():
+    for k in range(4, 10):
+        without = BoundParams(k=k, p=F(3, k - 2), f=F(-3), h=F(0))
+        for n in range(1, 13):
+            refined = refined_tree_bound(k, n)
+            assert _tree_limits(k, n, None) == (refined, tree_bound_rhs(without, n, 0))
+            for q in range(n + 1):
+                assert _tree_limits(k, n, q) == (refined, tree_bound_rhs(small_p(k), n, q))

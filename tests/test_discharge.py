@@ -334,6 +334,16 @@ def test_audit_rejects_foreign_components():
         tree_charge_audit(g, (18, 19), pr, ledger)
 
 
+def test_audit_rejects_a_repeated_vertex():
+    g, k = three_ai_instance()
+    pr = params_for(k)
+    ledger = run_main_discharge(g, pr)
+    tree_charge_audit(g, [0, 1, 2, 3, 4, 5], pr, ledger)
+    with pytest.raises(PreconditionError) as err:
+        tree_charge_audit(g, [0, 0, 1, 2, 3, 4, 5], pr, ledger)
+    assert err.value.witness == [0, 0, 1, 2, 3, 4, 5]
+
+
 # the set-based procedures as first written, kept as the oracle for the rule
 # loop on vertex masks
 

@@ -24,6 +24,7 @@ from critgraphs import (
     q_value,
     tree_bound_rhs,
 )
+from critgraphs.bounds import _tree_bound_sweep
 from critgraphs.generators import (
     _attach,
     _tree_code,
@@ -71,6 +72,16 @@ def test_enumeration_leaves_no_cyclic_garbage():
     gc.disable()
     try:
         list(enumerate_gallai_trees(5, 8))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_tree_bound_sweep_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        list(_tree_bound_sweep(5, 8))
         assert gc.collect() == 0
     finally:
         gc.enable()
