@@ -25,12 +25,10 @@ from .bounds import (
 )
 from .coloring import (
     ATCertificate,
-    ChainReport,
     Orientation,
     at_number,
     chromatic_number,
     ee_eo,
-    implication_chain,
     is_f_AT,
     is_f_choosable,
     is_f_paintable,
@@ -61,7 +59,6 @@ from .graph import (
     are_isomorphic,
     contains_clique,
     induced_subgraph,
-    maximal_cliques,
     parse_edge_list,
     parse_graph6,
     write_edge_list,

@@ -303,6 +303,10 @@ def _cmd_bounds(args):
 
 def _cmd_verify_trees(args):
     k = args.k
+    # at k = 4 the without-clique triple fails Lemma 3.1's conditions and
+    # smallP fails Lemma 3.2's, so what would be checked is no lemma's bound
+    if k < 5:
+        raise PreconditionError("k must be at least 5")
     checked = 0
     violations = []
     for g, failures in _tree_bound_sweep(k, args.n_max):

@@ -476,34 +476,6 @@ def at_number(g: Graph, max_edges: int = AT_MAX_EDGES) -> int:
     raise AssertionError("no orientation certified below max degree + 2")
 
 
-@dataclass(frozen=True)
-class ChainReport:
-    f_at: bool
-    f_paintable: bool
-    f_choosable: bool
-
-    @property
-    def consistent(self) -> bool:
-        return (not self.f_at or self.f_paintable) and (
-            not self.f_paintable or self.f_choosable
-        )
-
-
-def implication_chain(
-    g: Graph,
-    f: FVector,
-    max_vertices: int = PAINT_MAX_VERTICES,
-    max_edges: int = AT_MAX_EDGES,
-) -> ChainReport:
-    """Evaluate all three deciders on the same input.  AT implies paintable
-    implies choosable; a report with consistent == False is a correctness bug
-    in one of the engines, never a property of the graph."""
-    at = is_f_AT(g, f, max_edges) is not None
-    paint = is_f_paintable(g, f, max_vertices)
-    choose = is_f_choosable(g, f, max_vertices)[0]
-    return ChainReport(at, paint, choose)
-
-
 # ---------------------------------------------------------------------------
 # criticality
 

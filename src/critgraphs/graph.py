@@ -120,14 +120,6 @@ class Graph:
             raise ValueError(f"no edge ({u},{v})")
         return Graph(self.n, (e for e in self.edges() if e != (min(u, v), max(u, v))))
 
-    def remove_vertex(self, v: int) -> "Graph":
-        keep = [x for x in range(self.n) if x != v]
-        g, _ = induced_subgraph(self, keep)
-        return g
-
-    def add_edges(self, extra: Iterable[tuple[int, int]]) -> "Graph":
-        return Graph(self.n, list(self.edges()) + list(extra))
-
     def is_connected(self) -> bool:
         full = (1 << self.n) - 1
         return self.n == 0 or _reach(self._adj, 1, full) == full
@@ -175,9 +167,10 @@ class Graph:
 
 _G6_SHORT_MAX_N = 62
 _G6_MAX_N = 258047  # past it formats.txt starts '~~', a form not implemented here
-_G6_FROM_BASE64 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
-)
+_G6_CHARS = bytes(range(63, 127))
+_BASE64_CHARS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_G6_FROM_BASE64 = bytes.maketrans(_BASE64_CHARS, _G6_CHARS)
+_G6_TO_BASE64 = bytes.maketrans(_G6_CHARS, _BASE64_CHARS)
 
 
 def parse_graph6(text: str) -> Graph:
@@ -230,24 +223,29 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(body) > nbytes:
         raise GraphFormatError(f"trailing garbage at byte offset {start + nbytes}")
-    bits = []
-    for i, b in enumerate(body):
-        if not (63 <= b <= 126):
-            raise GraphFormatError(f"invalid graph6 body byte {b} at byte offset {start + i}")
-        x = b - 63
-        bits.extend((x >> shift) & 1 for shift in range(5, -1, -1))
-    for j in range(nbits, len(bits)):
-        if bits[j]:
-            raise GraphFormatError(
-                f"nonzero padding bit at byte offset {start + j // 6}"
-            )
+    bad = body.translate(None, _G6_CHARS)
+    if bad:
+        i = body.index(bad[0])
+        raise GraphFormatError(f"invalid graph6 body byte {bad[0]} at byte offset {start + i}")
+    # base64 under the graph6 alphabet, as write_graph6 writes it: decoded to
+    # one int after filling to whole quanta, whose low `spare` bits are the
+    # fill and the padding (under six bits, so in the last body character)
+    fill = -nbytes % 4
+    word = int.from_bytes(base64.b64decode(body.translate(_G6_TO_BASE64) + b"A" * fill), "big")
+    spare = 6 * (nbytes + fill) - nbits
+    if word & ((1 << spare) - 1):
+        raise GraphFormatError(f"nonzero padding bit at byte offset {start + nbytes - 1}")
+    bits = format(word >> spare, "0%db" % nbits)
+    # column v holds the bits of u = 0 .. v-1 and starts at bit `base`
     edges = []
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
-                edges.append((u, v))
-            idx += 1
+    v, base = 1, 0
+    j = bits.find("1")
+    while j >= 0:
+        while j >= base + v:
+            base += v
+            v += 1
+        edges.append((j - base, v))
+        j = bits.find("1", j + 1)
     return Graph(n, edges)
 
 
@@ -384,14 +382,6 @@ def _clique_vertices(adj, mask: int, t: int) -> int:
         if clq.bit_count() >= t:
             out |= clq
     return out
-
-
-def maximal_cliques(g: Graph) -> Iterator[frozenset]:
-    """Bron-Kerbosch with pivoting; yields maximal cliques as frozensets."""
-    if g.n == 0:
-        return
-    for clq in _expand(g._adj, 0, (1 << g.n) - 1, 0):
-        yield frozenset(_mask_bits(clq))
 
 
 def contains_clique(g: Graph, t: int) -> tuple[bool, Optional[tuple[int, ...]]]:

@@ -18,11 +18,10 @@ from .graph import Graph, _clique_vertices, _component_masks, _mask_bits, _verte
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Blocks (as vertex sets), cut vertices, and the block-cut tree."""
+    """Blocks (as vertex sets) and cut vertices."""
 
     blocks: tuple[frozenset, ...]
     cut_vertices: frozenset
-    block_tree: tuple[tuple[int, int], ...]  # (block index, cut vertex)
 
 
 def _blocks(adj, mask: int) -> Optional[tuple[list[int], int]]:
@@ -96,11 +95,7 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     """
     blocks, cuts = _connected_blocks(g._adj, (1 << g.n) - 1)
     verts = sorted(list(_mask_bits(b)) for b in blocks)
-    return BlockDecomposition(
-        tuple(frozenset(b) for b in verts),
-        frozenset(_mask_bits(cuts)),
-        tuple((i, c) for i, b in enumerate(verts) for c in b if cuts >> c & 1),
-    )
+    return BlockDecomposition(tuple(frozenset(b) for b in verts), frozenset(_mask_bits(cuts)))
 
 
 def _is_gallai(adj, mask: int) -> bool:
@@ -164,21 +159,15 @@ class LowHighSplit:
     """Degree split: components of the degree-(k-1) subgraph, degree-k
     vertices, and higher-degree vertices."""
 
-    k: int
     l_components: tuple[frozenset, ...]
     h_vertices: frozenset
     higher_vertices: frozenset
     sub_vertices: frozenset  # degree < k-1; nonempty means preconditions fail downstream
 
-    @property
-    def warn(self) -> bool:
-        return bool(self.sub_vertices)
-
 
 def low_high_split(g: Graph, k: int) -> LowHighSplit:
     low = [v for v in range(g.n) if g.degree(v) == k - 1]
     return LowHighSplit(
-        k=k,
         l_components=tuple(frozenset(_mask_bits(c)) for c in _component_masks(g._adj, _vertex_mask(low))),
         h_vertices=frozenset(v for v in range(g.n) if g.degree(v) == k),
         higher_vertices=frozenset(v for v in range(g.n) if g.degree(v) >= k + 1),
@@ -191,20 +180,13 @@ class AuxiliaryBipartite:
     """Bipartite structure between selected vertices y and components T of the
     remaining side, with an edge when y sees a K_{k-1} vertex of T."""
 
-    k: int
     tree_components: tuple[frozenset, ...]
     w_sets: tuple[frozenset, ...]
     y_vertices: tuple[int, ...]
     edges: frozenset  # of (y, component index)
 
-    def tree_degree(self, i: int) -> int:
-        return sum(1 for y, j in self.edges if j == i)
-
     def y_degree(self, y: int) -> int:
         return sum(1 for z, _ in self.edges if z == y)
-
-    def component_w(self, i: int) -> frozenset:
-        return self.w_sets[i]
 
 
 def build_aux_partition(
@@ -225,7 +207,6 @@ def build_aux_partition(
     # completes a K_{k-1} with tree vertices does not put them in W
     w_masks = [_clique_vertices(g._adj, comp, k - 1) for comp in comps]
     return AuxiliaryBipartite(
-        k=k,
         tree_components=tuple(frozenset(_mask_bits(c)) for c in comps),
         w_sets=tuple(frozenset(_mask_bits(w)) for w in w_masks),
         y_vertices=tuple(ys),

@@ -45,6 +45,35 @@ def connected_atlas(max_n: int, min_n: int = 1):
     return [g for g in _ATLAS if min_n <= g.n <= max_n]
 
 
+# Hand-transcribed embeddings of the k=5 chains with 2 and 3 copies, so
+# extremal_chain can be isomorphism-tested against a drawing that was labeled
+# by hand rather than by its layout rule.
+
+_CHAIN_5_2_EDGES = (
+    (1, 0), (1, 2), (1, 3), (2, 0), (2, 4), (3, 0), (3, 2), (4, 5), (4, 6),
+    (5, 6), (7, 8), (7, 9), (8, 9), (9, 3), (11, 10), (11, 12), (11, 13),
+    (12, 1), (12, 10), (13, 10), (13, 12), (14, 15), (14, 16), (15, 16),
+    (16, 11), (17, 18), (17, 19), (18, 19), (19, 10),
+)
+
+_CHAIN_5_3_EDGES = (
+    (0, 5), (1, 0), (1, 2), (1, 3), (1, 19), (2, 0), (3, 0), (3, 2), (5, 4),
+    (5, 6), (5, 7), (6, 4), (6, 8), (7, 4), (7, 6), (8, 9), (8, 10), (9, 10),
+    (11, 12), (11, 13), (12, 13), (13, 7), (14, 15), (14, 16), (15, 16),
+    (16, 2), (18, 17), (18, 19), (18, 20), (19, 17), (20, 17), (20, 19),
+    (21, 22), (21, 23), (22, 23), (24, 25), (24, 26), (25, 26), (26, 17),
+    (23, 18), (27, 28), (27, 29), (28, 29), (28, 3),
+)
+
+
+def reference_chain_5_2() -> Graph:
+    return Graph(20, _CHAIN_5_2_EDGES)
+
+
+def reference_chain_5_3() -> Graph:
+    return Graph(30, _CHAIN_5_3_EDGES)
+
+
 # ---------------------------------------------------------------------------
 # the marked-vertex family of criterion 9
 

@@ -13,7 +13,14 @@ from random import Random
 import networkx as nx
 import pytest
 
-from conftest import charge_corpus, connected_atlas, lemma51_family, nx_to_graph
+from conftest import (
+    charge_corpus,
+    connected_atlas,
+    lemma51_family,
+    nx_to_graph,
+    reference_chain_5_2,
+    reference_chain_5_3,
+)
 from critgraphs import (
     Graph,
     are_isomorphic,
@@ -43,7 +50,6 @@ from critgraphs import (
     tree_charge_audit,
 )
 from critgraphs.coloring import Orientation, ee_eo, ee_eo_poly
-from critgraphs.generators import reference_chain_5_2, reference_chain_5_3
 from critgraphs.discharge import _RECEIVE_RULES
 
 from test_bounds import COLUMNS, EXPECTED_GRID
@@ -162,7 +168,7 @@ def _connected_catalog():
             for v in range(u + 1, 8):
                 if t.has_edge(u, v):
                     continue
-                cand = t.add_edges([(u, v)])
+                cand = Graph(t.n, [*t.edges(), (u, v)])
                 key = sorted(cand.degrees())
                 if not any(
                     sorted(h.degrees()) == key and are_isomorphic(cand, h)

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from critgraphs.cli import _build_parser, main
 from critgraphs.coloring import CHOOSE_MAX_VERTICES
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+README = PYPROJECT.with_name("README.md")
 
 
 def run(capsys, *argv):
@@ -559,6 +561,41 @@ def test_bounds_table_values(capsys):
     assert rows["7"]["gallai"]["exact"] == "140/23"
     assert rows["5"]["here"]["display"] == "4.1000"
     assert rows["5"]["ks_critical"]["exact"] is None
+
+
+def test_readme_examples_run():
+    """Each `critgraphs ...` line of the README's command block that names no
+    file prints one document and exits 0 or 1, and the trimmed construction
+    shown after it matches the real one."""
+    text = README.read_text(encoding="utf-8").split("## Command line", 1)[1].split("\n## ", 1)[0]
+    examples = [
+        re.split(r" {2,}", line)[0].split()[1:]
+        for line in text.splitlines()
+        if line.startswith("critgraphs ") and ".g6" not in line
+    ]
+    assert len(examples) == 11
+    docs = {}
+    for argv in examples:
+        code, out = _main_output(argv)
+        assert code in (0, 1), argv
+        docs[" ".join(argv)] = json.loads(out)
+    shown = text.split("$ critgraphs ", 1)[1].split("```", 1)[0]
+    argv, shown = shown.split("\n", 1)
+    shown = re.sub(r",\s*\n\s*\.\.\.\s*\n", "\n", shown)
+    real = docs[argv]
+    for key, value in json.loads(shown).items():
+        assert real[key] == value, key
+
+
+@pytest.mark.parametrize("k,code", [(3, 3), (4, 3), (5, 0)])
+def test_verify_trees_k_starts_at_5(capsys, k, code):
+    got, doc = run(capsys, "verify-trees", "--k", str(k), "--n-max", "4")
+    assert got == code
+    if code:
+        assert doc["exit"] == 3 and doc["error"] == "k must be at least 5"
+    else:
+        assert doc["inputs"] == {"k": 5, "n_max": 4}
+        assert doc["verdicts"]["trees_checked"] == 8
 
 
 def test_verify_trees_sweep(capsys):

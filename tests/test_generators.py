@@ -8,7 +8,7 @@ from random import Random
 import networkx as nx
 import pytest
 
-from conftest import connected_atlas, graph_to_nx
+from conftest import connected_atlas, graph_to_nx, reference_chain_5_2, reference_chain_5_3
 from critgraphs import (
     BudgetExceeded,
     Graph,
@@ -25,12 +25,7 @@ from critgraphs import (
     tree_bound_rhs,
 )
 from critgraphs.bounds import _tree_bound_sweep
-from critgraphs.generators import (
-    _attach,
-    _tree_code,
-    reference_chain_5_2,
-    reference_chain_5_3,
-)
+from critgraphs.generators import _attach, _tree_code
 
 
 def test_enumeration_counts():

@@ -59,18 +59,6 @@ def test_cut_vertices_match_networkx():
         )
 
 
-def test_block_tree_is_a_tree():
-    for g in connected_atlas(7):
-        bd = block_decomposition(g)
-        if not bd.blocks:
-            continue
-        nodes = len(bd.blocks) + len(bd.cut_vertices)
-        assert len(bd.block_tree) == nodes - 1
-        for bi, cv in bd.block_tree:
-            assert cv in bd.blocks[bi]
-            assert cv in bd.cut_vertices
-
-
 def test_single_vertex_has_no_blocks():
     bd = block_decomposition(Graph(1))
     assert bd.blocks == () and bd.cut_vertices == frozenset()
@@ -221,13 +209,13 @@ def test_low_high_split_wheel():
     assert split.l_components == (frozenset(range(5)),)
     assert split.h_vertices == frozenset()
     assert split.higher_vertices == {5}
-    assert not split.warn
+    assert not split.sub_vertices
 
 
 def test_low_high_split_flags_small_degrees():
     split = low_high_split(Graph.path(3), 5)
     assert split.sub_vertices == {0, 1, 2}
-    assert split.warn
+    assert split.sub_vertices
 
 
 def test_split_is_a_partition():
@@ -253,10 +241,10 @@ def test_aux_on_stalled_instance():
     named = {frozenset(r) for r in tree_ranges}
     for i, comp in enumerate(aux.tree_components):
         if comp in named:
-            assert aux.component_w(i) == comp
+            assert aux.w_sets[i] == comp
         else:
-            assert aux.component_w(i) == frozenset()
-            assert aux.tree_degree(i) == 0
+            assert aux.w_sets[i] == frozenset()
+            assert all(j != i for _, j in aux.edges)
     for y in connectors:
         assert aux.y_degree(y) == 3
 
@@ -278,7 +266,7 @@ def test_aux_partition_accepts_explicit_sides():
     g = Graph.complete(5).remove_edge(3, 4)
     aux = build_aux_partition(g, [3], 5, [0, 1, 2, 4])
     assert len(aux.tree_components) == 1
-    assert aux.component_w(0) == frozenset({0, 1, 2, 4})
+    assert aux.w_sets[0] == frozenset({0, 1, 2, 4})
     assert aux.y_degree(3) == 1
     for bad in ([0, 5], [-1, 0]):
         with pytest.raises(ValueError, match="out of range"):
@@ -310,7 +298,6 @@ def test_aux_w_sets_match_networkx():
 
 def synthetic_aux(t, ys, edges):
     return AuxiliaryBipartite(
-        k=5,
         tree_components=tuple(frozenset({i}) for i in range(t)),
         w_sets=tuple(frozenset({i}) for i in range(t)),
         y_vertices=tuple(range(100, 100 + ys)),
@@ -464,7 +451,6 @@ def test_elimination_matches_reference(t, ys, data, mode):
     flips = data.draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
     edges = [cell for cell, flip in zip(cells, flips) if flip]
     aux = AuxiliaryBipartite(
-        k=5,
         tree_components=tuple(frozenset({i}) for i in range(t)),
         w_sets=tuple(frozenset({i}) for i in range(t)),
         y_vertices=tuple(sorted(ys)),
