@@ -9,6 +9,7 @@ used anywhere in a verdict.
 
 from .bounds import (
     BoundParams,
+    DischargeParams,
     check_lemma31,
     check_lemma32,
     check_thm41,
@@ -18,6 +19,7 @@ from .bounds import (
     ky_asymptotic,
     ky_bound,
     main_bound,
+    make_params,
     preset_params,
     table1,
     tree_bound_failures,
@@ -39,9 +41,7 @@ from .coloring import (
 )
 from .discharge import (
     ChargeLedger,
-    DischargeParams,
     gallai_target,
-    make_params,
     run_gallai_discharge,
     run_main_discharge,
     sponsorship_stats,

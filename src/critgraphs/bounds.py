@@ -148,10 +148,35 @@ def check_thm43(bp: BoundParams) -> CheckReport:
     return check_regime(bp, "lopsided")
 
 
-def epsilon(k: int, bp: BoundParams, mode: str) -> Fraction:
-    """1/(k+2+s*h-p): a degree-k vertex that sends eps on its other edges
-    and s gammas of eps*(h+1) keeps the target (k-1) + (2-p)*eps."""
-    return 1 / F(k + 2 + REGIMES[mode].s * bp.h - bp.p)
+@dataclass(frozen=True)
+class DischargeParams:
+    k: int
+    bp: BoundParams
+    mode: str
+    epsilon: Fraction
+    gamma: Fraction
+
+    @property
+    def target(self) -> Fraction:
+        return (self.k - 1) + (2 - self.bp.p) * self.epsilon
+
+
+def make_params(k: int, bp: BoundParams, mode: str = "auto") -> DischargeParams:
+    """The discharging parameters of a triple built for k that passes the
+    report of regime(k, mode).  epsilon = 1/(k+2+s*h-p): a degree-k vertex
+    that sends epsilon on its other edges and s gammas of
+    gamma = epsilon*(h+1) keeps the target (k-1) + (2-p)*epsilon."""
+    if bp.k != k:
+        raise PreconditionError("bp was built for k=%d, not %d" % (bp.k, k))
+    mode = regime(k, mode)
+    report = check_regime(bp, mode)
+    if not report.passed:
+        raise PreconditionError(
+            f"{report.name} conditions fail for k={k}: {', '.join(report.failed)}",
+            witness=report,
+        )
+    eps = 1 / F(k + 2 + REGIMES[mode].s * bp.h - bp.p)
+    return DischargeParams(k, bp, mode, eps, eps * (bp.h + 1))
 
 
 def tree_bound_rhs(bp: BoundParams, n: int, q: int) -> Fraction:
@@ -223,22 +248,16 @@ def _tree_bound_sweep(k: int, n_max: int) -> Iterator[tuple[Graph, list[str]]]:
 
 
 def main_bound(k: int, variant: str, bp: BoundParams) -> Fraction:
-    """Average-degree bound implied by a passing parameter triple.
+    """Average-degree bound implied by a passing parameter triple: the
+    target of its discharging parameters.
 
     variant: "thm41" or "thm43" (the regime whose report is named so), or
-    "auto" (the regime applied at k).  The bound is (k-1) + (2-p)*epsilon.
+    "auto" (the regime applied at k).
     """
     modes = {r.check: mode for mode, r in REGIMES.items()}
     if variant != "auto" and variant not in modes:
         raise PreconditionError(f"unknown variant {variant!r}")
-    mode = regime(k, modes.get(variant, "auto"))
-    report = check_regime(bp, mode)
-    if not report.passed:
-        raise PreconditionError(
-            f"{report.name} conditions fail for k={k}: {', '.join(report.failed)}",
-            witness=report,
-        )
-    return (k - 1) + (2 - bp.p) * epsilon(k, bp, mode)
+    return make_params(k, bp, modes.get(variant, "auto")).target
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,11 @@ from fractions import Fraction
 from .bounds import (
     TABLE1_COLUMNS,
     _tree_bound_sweep,
+    _tree_limits,
     dirac_bound,
     ky_bound,
     preset_params,
-    refined_tree_bound,
     table1,
-    tree_bound_rhs,
 )
 from .coloring import (
     AT_MAX_EDGES,
@@ -59,9 +58,8 @@ from .generators import (
 )
 from .graph import (
     Graph,
-    _INT_TOKEN,
     _check_graph6_order,
-    _int_pair,
+    _ints,
     parse_edge_list,
     parse_graph6,
     write_graph6,
@@ -116,13 +114,16 @@ def _rat(x) -> str:
 
 
 def _read_text(source: str) -> str:
-    """The text of the file at source, or of stdin for '-'."""
+    """The text of the file at source, or of stdin for '-'; either must be ASCII."""
     name = "stdin" if source == "-" else repr(source)
     try:
         if source == "-":
-            return sys.stdin.read()
-        with open(source, "r", encoding="ascii") as fh:
-            return fh.read()
+            data = sys.stdin.buffer.read()
+        else:
+            with open(source, "rb") as fh:
+                data = fh.read()
+        # decoded whole, so an error's offset counts from the first byte
+        return data.decode("ascii")
     except UnicodeDecodeError as e:
         raise GraphFormatError(
             "byte 0x%02x at byte offset %d of %s is not ASCII" % (e.object[e.start], e.start, name)
@@ -150,8 +151,8 @@ def _read_graph(token: str, max_vertices=None, max_edges=None) -> Graph:
         return parse_graph6(token)
     text = _read_text(token if token == "-" else token[1:])
     header = next((ln for ln in text.splitlines() if ln.strip()), "")
-    counts = _int_pair(header)
-    if counts is not None:
+    counts = _ints(header)
+    if counts is not None and len(counts) == 2:
         n, m = counts
         # a header with a negative count is parse_edge_list's to reject
         if min(counts) >= 0:
@@ -176,15 +177,10 @@ def _read_graph(token: str, max_vertices=None, max_edges=None) -> Graph:
 
 def _int_list(text: str, name: str) -> list:
     """The integers of a comma or space separated option value."""
-    entries = text.replace(",", " ").split()
-    # -?[0-9]+ in ASCII text only, as for graph input: int() also reads
-    # non-ASCII digits and underscores, and split() non-ASCII spaces
-    if text.isascii() and all(_INT_TOKEN.fullmatch(e) for e in entries):
-        try:
-            return [int(e) for e in entries]
-        except ValueError:  # longer than int() accepts
-            pass
-    raise PreconditionError("%s entries must be integers: %r" % (name, text))
+    values = _ints(text.replace(",", " "))
+    if values is None:
+        raise PreconditionError("%s entries must be integers: %r" % (name, text))
+    return values
 
 
 def _parse_f(args, g: Graph):
@@ -328,16 +324,11 @@ def _cmd_construct(args):
     chain = args.kind == "chain"
     # refused before it is built when its graph6 could not be printed
     _check_graph6_order((_chain_order if chain else _clique_path_order)(k, m))
-    if chain:
-        g = extremal_chain(k, m)
-        q = q_value(g, k)
-        rhs = tree_bound_rhs(preset_params(k, "smallP"), g.n, q)
-        anchor = "Corollary 3.3"
-    else:
-        g = clique_path(k, m)
-        q = q_value(g, k)
-        rhs = refined_tree_bound(k, g.n)
-        anchor = "Lemma 2.2 refinement"
+    g = (extremal_chain if chain else clique_path)(k, m)
+    q = q_value(g, k)
+    # the limits verify-trees checks each tree against
+    refined, limit = _tree_limits(k, g.n, q)
+    rhs, anchor = (limit, "Corollary 3.3") if chain else (refined, "Lemma 2.2 refinement")
     verdicts = {
         "graph6": write_graph6(g),
         "n": g.n,

@@ -316,19 +316,21 @@ class Orientation:
     arcs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "arcs", tuple((int(u), int(v)) for u, v in self.arcs))
-        covered = set()
-        for u, v in self.arcs:
-            e = frozenset((u, v))
-            if not self.base.has_edge(u, v):
+        arcs = tuple(map(tuple, self.arcs))
+        object.__setattr__(self, "arcs", arcs)
+        n, adj = self.base.n, self.base._adj
+        oriented = [0] * n  # per vertex, the neighbours it already has an arc with
+        for u, v in arcs:
+            if not (isinstance(u, int) and isinstance(v, int) and 0 <= u < n and 0 <= v < n):
+                raise PreconditionError("arc %r does not join two vertices of the base" % ((u, v),))
+            if not adj[u] >> v & 1:
                 raise PreconditionError("arc (%d,%d) is not an edge of the base" % (u, v))
-            if e in covered:
+            if oriented[u] >> v & 1:
                 raise PreconditionError("edge {%d,%d} oriented twice" % (u, v))
-            covered.add(e)
-        if len(covered) != self.base.m:
-            raise PreconditionError(
-                "orientation covers %d of %d edges" % (len(covered), self.base.m)
-            )
+            oriented[u] |= 1 << v
+            oriented[v] |= 1 << u
+        if len(arcs) != self.base.m:
+            raise PreconditionError("orientation covers %d of %d edges" % (len(arcs), self.base.m))
 
     def out_degrees(self) -> tuple[int, ...]:
         d = [0] * self.base.n

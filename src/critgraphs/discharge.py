@@ -12,10 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .bounds import BoundParams, check_regime, epsilon
+# make_params is re-exported: it lives with the bounds it produces
+from .bounds import DischargeParams, g_family, make_params
 from .errors import EliminationFailed, PreconditionError
 from .graph import Graph, _clique_vertices, _mask_bits, _vertex_mask
-from .structure import REGIMES, _in_t_k, _w_q, build_auxiliary, eliminate, low_high_split, regime
+from .structure import REGIMES, _in_t_k, _w_q, build_auxiliary, eliminate, low_high_split
 
 Node = Union[int, str]
 
@@ -149,7 +150,8 @@ def _discharge(
 
 
 def gallai_target(k: int) -> Fraction:
-    return Fraction(k - 1) + Fraction(k - 3, k * k - 3)
+    """Gallai's bound (k-1) + (k-3)/(k^2-3), the table's gallai column."""
+    return g_family(k, 0)
 
 
 def run_gallai_discharge(g: Graph, k: int) -> ChargeLedger:
@@ -164,33 +166,6 @@ def run_gallai_discharge(g: Graph, k: int) -> ChargeLedger:
     _check_trees(g, k, components)
     amount = Fraction(k - 1, k * k - 3)
     return _discharge(g, k, amount, Fraction(0), ("G1", "G2"), components, (), ())
-
-
-@dataclass(frozen=True)
-class DischargeParams:
-    k: int
-    bp: BoundParams
-    mode: str
-    epsilon: Fraction
-    gamma: Fraction
-
-    @property
-    def target(self) -> Fraction:
-        return Fraction(self.k - 1) + (2 - self.bp.p) * self.epsilon
-
-
-def make_params(k: int, bp: BoundParams, mode: str = "auto") -> DischargeParams:
-    if bp.k != k:
-        raise PreconditionError("bp was built for k=%d, not %d" % (bp.k, k))
-    mode = regime(k, mode)
-    report = check_regime(bp, mode)
-    if not report.passed:
-        raise PreconditionError(
-            "parameter conditions failed: %s" % "; ".join(report.failed),
-            witness=report.failed,
-        )
-    eps = epsilon(k, bp, mode)
-    return DischargeParams(k, bp, mode, eps, eps * (bp.h + 1))
 
 
 def run_main_discharge(g: Graph, params: DischargeParams) -> ChargeLedger:

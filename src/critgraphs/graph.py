@@ -282,13 +282,15 @@ def write_graph6(g: Graph) -> str:
 _INT_TOKEN = re.compile(r"-?[0-9]+")
 
 
-def _int_pair(line: str) -> Optional[tuple[int, int]]:
-    """The two integers of a line holding exactly two ASCII integer tokens, else None."""
-    parts = line.split()
-    if len(parts) != 2 or not all(_INT_TOKEN.fullmatch(p) for p in parts):
+def _ints(text: str) -> Optional[list[int]]:
+    """The integers of ASCII text split at whitespace, or None unless every
+    token is -?[0-9]+: int() also reads non-ASCII digits and underscores, and
+    split() non-ASCII spaces."""
+    tokens = text.split()
+    if not text.isascii() or not all(_INT_TOKEN.fullmatch(t) for t in tokens):
         return None
     try:
-        return int(parts[0]), int(parts[1])
+        return [int(t) for t in tokens]
     except ValueError:  # longer than int() accepts
         return None
 
@@ -300,8 +302,8 @@ def parse_edge_list(text: str) -> Graph:
     if not rows:
         raise GraphFormatError("line 1: expected header 'n m'")
     no, header = rows[0]
-    counts = _int_pair(header)
-    if counts is None:
+    counts = _ints(header)
+    if counts is None or len(counts) != 2:
         raise GraphFormatError(f"line {no}: expected header 'n m', got {header!r}")
     n, m = counts
     if n < 0 or m < 0:
@@ -315,8 +317,8 @@ def parse_edge_list(text: str) -> Graph:
     edges = []
     seen = set()
     for no, ln in body:
-        pair = _int_pair(ln)
-        if pair is None:
+        pair = _ints(ln)
+        if pair is None or len(pair) != 2:
             raise GraphFormatError(f"line {no}: expected edge 'u v', got {ln!r}")
         u, v = pair
         if u == v:

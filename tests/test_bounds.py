@@ -5,6 +5,9 @@ from fractions import Fraction as F
 import networkx as nx
 import pytest
 
+import critgraphs
+import critgraphs.bounds as bounds_module
+import critgraphs.discharge as discharge_module
 import critgraphs.graph as graph_module
 from conftest import nx_to_graph
 from critgraphs import (
@@ -108,6 +111,19 @@ def test_thm43_is_for_five_and_six():
 def test_main_bound_auto_below_five_is_the_lopsided_regime():
     with pytest.raises(PreconditionError, match="thm43 conditions fail for k=4: k-range"):
         main_bound(4, "auto", preset_params(4, "smallP"))
+
+
+def test_main_bound_refuses_params_for_another_k():
+    assert main_bound(6, "auto", small_p(6)) == F(332, 65)
+    with pytest.raises(PreconditionError, match="bp was built for k=5, not 6"):
+        main_bound(6, "auto", preset_params(5, "smallP"))
+
+
+def test_bounds_is_the_one_producer_of_the_discharge_parameters():
+    assert critgraphs.make_params is bounds_module.make_params is discharge_module.make_params
+    assert critgraphs.DischargeParams is discharge_module.DischargeParams
+    for k in range(4, 31):
+        assert gallai_target(k) == g_family(k, 0) == table1([k])[k]["gallai"].exact
 
 
 def test_main_bound_closed_forms():

@@ -37,6 +37,11 @@ def g6(g):
     return write_graph6(g)
 
 
+def stdin_of(text):
+    """A stand-in for sys.stdin that holds text as UTF-8 bytes, as a pipe does."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+
+
 # exit codes
 
 def test_exit_0_on_verified(capsys):
@@ -234,18 +239,48 @@ def test_exit_3_on_undecodable_bytes(capsys, monkeypatch, tmp_path, where):
 
 @pytest.mark.parametrize("token", ["--2", "\u00b2"])
 def test_exit_3_on_bad_edge_list_token(capsys, monkeypatch, token):
-    # stdin arrives decoded, so non-ASCII digits reach the edge-list parser
-    monkeypatch.setattr(sys, "stdin", io.StringIO("3 1\n0 %s\n" % token))
+    # stdin is checked as ASCII before the edge-list parser sees it
+    monkeypatch.setattr(sys, "stdin", stdin_of("3 1\n0 %s\n" % token))
     code, doc = run(capsys, "chi", "-")
     assert code == 3
-    assert "line 2" in doc["error"]
+    error = {"--2": "line 2", "\u00b2": "byte 0xc2 at byte offset 6 of stdin is not ASCII"}
+    assert error[token] in doc["error"]
+
+
+@pytest.mark.parametrize("data,offset", [(b"2\xe2\x80\x831\n0 1\n", 1), (b"\xe2\x80\x83Dhc\n", 0)])
+@pytest.mark.parametrize("where", ["file", "stdin"])
+def test_exit_3_on_non_ascii_space(capsys, monkeypatch, tmp_path, data, offset, where):
+    # an EM SPACE would split an edge-list header, and strip() would drop it
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    code, doc = run(capsys, "chi", {"file": "@%s" % path, "stdin": "-"}[where])
+    assert code == 3
+    name = "stdin" if where == "stdin" else repr(str(path))
+    assert doc["error"] == "byte 0xe2 at byte offset %d of %s is not ASCII" % (offset, name)
+
+
+def test_stdin_error_offset_counts_from_the_first_byte():
+    """A pipe delivers stdin in chunks; the offset of a non-ASCII byte still
+    counts from the first byte of the stream."""
+    src = str(Path(critgraphs.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = "import sys\nfrom critgraphs.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    data = b"2 1\n" + b"\n" * 10_000 + b"0 1\xe9\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "chi", "-"],
+        input=data, capture_output=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout)["error"] == "byte 0xe9 at byte offset 10007 of stdin is not ASCII"
 
 
 def _main_output(argv):
     """Exit code and stdout of main(argv), with an empty stdin."""
     out = io.StringIO()
     saved = sys.stdin
-    sys.stdin = io.StringIO("")
+    sys.stdin = stdin_of("")
     try:
         with redirect_stdout(out):
             code = main(argv)
@@ -392,7 +427,7 @@ def test_closed_stdout_keeps_the_exit_code():
 # input forms
 
 def test_graph_from_stdin_edge_list(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO("4 2\n0 1\n2 3\n"))
+    monkeypatch.setattr(sys, "stdin", stdin_of("4 2\n0 1\n2 3\n"))
     code, doc = run(capsys, "analyze", "-", "--k", "4")
     assert code == 0
     assert doc["verdicts"]["n"] == 4 and doc["verdicts"]["m"] == 2
@@ -444,7 +479,7 @@ def test_graph_file_holds_one_record(capsys, tmp_path):
 )
 def test_edge_list_header_over_budget_exits_before_the_body(capsys, monkeypatch, argv):
     # the body is malformed, so reading it would exit 3
-    monkeypatch.setattr(sys, "stdin", io.StringIO("2000000 1\nnot an edge\n"))
+    monkeypatch.setattr(sys, "stdin", stdin_of("2000000 1\nnot an edge\n"))
     code, doc = run(capsys, argv[0], "-", *argv[1:])
     assert code == 2
     assert doc["budget"]["exceeded"] is True
@@ -461,13 +496,13 @@ def test_edge_list_header_over_budget_exits_before_the_body(capsys, monkeypatch,
 )
 def test_edge_list_header_over_edge_budget_exits_before_the_body(capsys, monkeypatch, argv):
     # the body is malformed, so reading it would exit 3
-    monkeypatch.setattr(sys, "stdin", io.StringIO("10 2000000\nnot an edge\n"))
+    monkeypatch.setattr(sys, "stdin", stdin_of("10 2000000\nnot an edge\n"))
     code, doc = run(capsys, argv[0], "-", *argv[1:])
     assert code == 2
     assert doc["budget"]["exceeded"] is True
     assert "2000000 edges" in doc["error"]
     # a negative count is the parser's to reject
-    monkeypatch.setattr(sys, "stdin", io.StringIO("-1 2000000\nnot an edge\n"))
+    monkeypatch.setattr(sys, "stdin", stdin_of("-1 2000000\nnot an edge\n"))
     code, doc = run(capsys, argv[0], "-", *argv[1:])
     assert code == 3
     assert "negative count" in doc["error"]
@@ -708,6 +743,16 @@ def test_discharge_mode_gate(capsys):
     assert "error" in doc
 
 
+@pytest.mark.parametrize("k,mode,error", [
+    (5, "symmetric", "thm41 conditions fail for k=5: k-range"),
+    (7, "lopsided", "thm43 conditions fail for k=7: k-range"),
+])
+def test_discharge_regime_failure_names_the_report(capsys, k, mode, error):
+    code, doc = run(capsys, "discharge", g6(extremal_chain(5, 1)), "--k", str(k), "--mode", mode)
+    assert code == 3
+    assert doc["error"] == error
+
+
 def test_reduce_check_single_verified(capsys):
     g = Graph.complete(5).remove_edge(3, 4)
     code, doc = run(capsys, "reduce-check", g6(g), "--k", "5", "--x", "3")
@@ -767,7 +812,7 @@ def test_census_stream(capsys, monkeypatch):
         ">>graph6<<%s" % g6(Graph.wheel(5)),
         g6(Graph.complete(3)),
     ]
-    monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
+    monkeypatch.setattr(sys, "stdin", stdin_of("\n".join(lines) + "\n"))
     code, doc = run(capsys, "census", "-", "--k", "4")
     assert code == 3
     v = doc["verdicts"]
@@ -793,7 +838,7 @@ def test_census_budget_skips(capsys, tmp_path):
     [("list", (10, None)), ("at", (None, 20)), ("chromatic", (16, None)), ("online", (10, None))],
 )
 def test_census_reports_the_budget_it_applied(capsys, monkeypatch, notion, budget):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(g6(Graph.complete(4)) + "\n"))
+    monkeypatch.setattr(sys, "stdin", stdin_of(g6(Graph.complete(4)) + "\n"))
     code, doc = run(capsys, "census", "-", "--k", "4", "--notion", notion)
     assert code == 0
     assert (doc["budget"]["max_vertices"], doc["budget"]["max_edges"]) == budget
@@ -802,7 +847,7 @@ def test_census_reports_the_budget_it_applied(capsys, monkeypatch, notion, budge
 
 
 def test_census_clean_exit(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(g6(Graph.complete(4)) + "\n"))
+    monkeypatch.setattr(sys, "stdin", stdin_of(g6(Graph.complete(4)) + "\n"))
     code, doc = run(capsys, "census", "-", "--k", "4")
     assert code == 0
     assert doc["verdicts"]["avg_degree_bounds"]["main"] is None

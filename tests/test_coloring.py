@@ -459,6 +459,12 @@ def test_orientation_validation():
         Orientation(g, [(0, 1)])
 
 
+@pytest.mark.parametrize("arc", [(-1, 1), (1, -1), (1, 2.5), (0, 3)])
+def test_orientation_refuses_arcs_naming_no_vertex(arc):
+    with pytest.raises(PreconditionError, match="does not join two vertices"):
+        Orientation(Graph.path(3), (arc, (0, 1)))
+
+
 def test_counts_agree_across_routes_exhaustively():
     """Direct subdigraph enumeration vs the polynomial coefficient."""
     seen = 0
