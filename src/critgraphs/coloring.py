@@ -409,11 +409,48 @@ def ee_eo_poly(d: Orientation, max_arcs: int = EE_EO_MAX_ARCS) -> int:
     return sign * poly.get(target, 0)
 
 
+def _capped_polynomial(
+    edges: list[tuple[int, int]], caps: list[int], shift: list[int]
+) -> dict[int, int]:
+    """The nonzero terms of prod over edges (u, v) of (x_u - x_v) whose
+    exponent at each v stays at most caps[v].  An exponent vector is packed as
+    is_f_AT packs an out-vector: vertex v owns the caps[v].bit_length() bits at
+    shift[v].  Exponents only grow, so a term dropped at its first excess
+    could never come back under the caps."""
+    poly = {0: 1}
+    for u, v in edges:
+        # a term may take x_w iff its field at w is below caps[w]; the field
+        # holds at most caps[w], so adding 1 << shift[w] never carries out
+        mu = ((1 << caps[u].bit_length()) - 1) << shift[u]
+        mv = ((1 << caps[v].bit_length()) - 1) << shift[v]
+        cu, cv = caps[u] << shift[u], caps[v] << shift[v]
+        wu, wv = 1 << shift[u], 1 << shift[v]
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for key, c in poly.items():
+            if key & mu < cu:
+                t = key + wu
+                nxt[t] = get(t, 0) + c
+            if key & mv < cv:
+                t = key + wv
+                nxt[t] = get(t, 0) - c
+        poly = {t: c for t, c in nxt.items() if c}
+        if not poly:
+            break
+    return poly
+
+
 @dataclass(frozen=True)
 class ATCertificate:
     orientation: Orientation
     ee: int
     eo: int
+
+
+def _certificate(g: Graph, arcs: list[tuple[int, int]]) -> ATCertificate:
+    o = Orientation(g, tuple(arcs))
+    ee, eo = ee_eo(o, max_arcs=len(arcs))
+    return ATCertificate(o, ee, eo)
 
 
 def is_f_AT(g: Graph, f: FVector, max_edges: int = AT_MAX_EDGES) -> Optional[ATCertificate]:
@@ -430,40 +467,61 @@ def is_f_AT(g: Graph, f: FVector, max_edges: int = AT_MAX_EDGES) -> Optional[ATC
     m = len(edges)
     if sum(caps) < m:
         return None
-    out = [0] * g.n
-    arcs: list[tuple[int, int]] = []
     # EE - EO is +-the coefficient of prod x_v^out(v) in prod_{u<v} (x_u - x_v)
     # (Alon-Tarsi), so it depends only on the out-degree vector.  The subtree
     # below edge i is then decided by (i, out), and i = sum(out): a state that
-    # failed once fails again, and a failed leaf vector never reaches ee_eo
-    # twice.  The key packs out as the digits of one base-(max cap + 1) int.
-    base = max(caps, default=0) + 1
-    weight = [base**v for v in range(g.n)]
+    # failed once fails again.  The key packs out with a caps[v].bit_length()
+    # bit field per vertex, as _capped_polynomial packs its exponents.
+    shift, width = [], 0
+    for c in caps:
+        shift.append(width)
+        width += c.bit_length()
+    weight = [1 << s for s in shift]
     failed: set[int] = set()
-
-    def dfs(i: int, key: int) -> Optional[ATCertificate]:
-        if key in failed:
-            return None
-        if i == m:
-            o = Orientation(g, tuple(arcs))
-            ee, eo = ee_eo(o, max_arcs=m)
-            if ee != eo:
-                return ATCertificate(o, ee, eo)
-        else:
-            u, v = edges[i]
-            for a, b in ((u, v), (v, u)):
-                if out[a] < caps[a]:
-                    out[a] += 1
-                    arcs.append((a, b))
-                    res = dfs(i + 1, key + weight[a])
-                    arcs.pop()
-                    out[a] -= 1
-                    if res is not None:
-                        return res
+    # The first leaf goes through ee_eo: it is often acyclic and certifies,
+    # while the expansion can hold 2^m terms (a cycle with f = 3).  Once it
+    # fails, a leaf certifies iff its key is a term of the capped expansion.
+    poly: Optional[dict[int, int]] = None
+    branches = [((u, v), (v, u)) for u, v in edges]
+    out = [0] * g.n
+    arcs: list[tuple[int, int]] = []
+    i = key = j = 0  # the node at edge i, and its next branch to try
+    while True:
+        if j == 0:
+            if key in failed:
+                j = 2
+            elif i == m:
+                if poly is None:
+                    cert = _certificate(g, arcs)
+                    if cert.ee != cert.eo:
+                        return cert
+                    poly = _capped_polynomial(edges, caps, shift)
+                    if not poly:
+                        return None
+                elif key in poly:
+                    return _certificate(g, arcs)
+                j = 2
+        if j < 2:
+            a, b = branches[i][j]
+            if out[a] < caps[a]:
+                out[a] += 1
+                arcs.append((a, b))
+                key += weight[a]
+                i += 1
+                j = 0
+            else:
+                j += 1
+            continue
+        # every branch below this node failed
         failed.add(key)
-        return None
-
-    return dfs(0, 0)
+        if i == 0:
+            return None
+        i -= 1
+        a, _ = arcs.pop()
+        out[a] -= 1
+        key -= weight[a]
+        # resume at the branch after the one just left
+        j = 1 if a == edges[i][0] else 2
 
 
 def at_number(g: Graph, max_edges: int = AT_MAX_EDGES) -> int:

@@ -260,7 +260,7 @@ def tree_charge_audit(
         (a for r, _, d, a in ledger.transfers if d in inside and r in _RECEIVE_RULES),
         Fraction(0),
     )
-    floor = params.epsilon * (2 - params.bp.p) * len(members)
+    floor = (params.target - (k - 1)) * len(members)
     has_clique = w != 0
     if has_clique:
         lower = params.epsilon * a_val + params.gamma * (q - REGIMES[params.mode].c)

@@ -1,5 +1,6 @@
 """Coloring, choosability, paintability, and orientation-count engines."""
 
+import gc
 import random
 from itertools import combinations, product
 
@@ -659,10 +660,95 @@ def test_at_counts_each_out_vector_once():
 
 
 def test_at_exhaustive_negative_on_k7_minus_an_edge():
-    # no certificate: one ee_eo call on 20 arcs per distinct leaf out-vector
+    # the first leaf fails, and no term of the capped expansion survives
     got, calls = counted_is_f_AT(Graph.complete(7).remove_edge(0, 1), [5] * 7)
     assert got is None
-    assert calls == 2395
+    assert calls == 1
+
+
+def memo_f_AT(g, f):
+    """The certificate search as it was before the capped expansion: the same
+    DFS and failure memo, with ee_eo at every leaf whose out-vector has not
+    failed yet.  Returns the (arcs, ee, eo) found or None."""
+    caps = [x - 1 for x in f]
+    if any(c < 0 for c in caps):
+        return None
+    edges = list(g.edges())
+    m = len(edges)
+    if sum(caps) < m:
+        return None
+    out, arcs = [0] * g.n, []
+    base = max(caps, default=0) + 1
+    weight = [base**v for v in range(g.n)]
+    failed = set()
+
+    def dfs(i, key):
+        if key in failed:
+            return None
+        if i == m:
+            ee, eo = ee_eo(Orientation(g, tuple(arcs)), max_arcs=m)
+            if ee != eo:
+                return tuple(arcs), ee, eo
+        else:
+            u, v = edges[i]
+            for a, b in ((u, v), (v, u)):
+                if out[a] < caps[a]:
+                    out[a] += 1
+                    arcs.append((a, b))
+                    res = dfs(i + 1, key + weight[a])
+                    arcs.pop()
+                    out[a] -= 1
+                    if res is not None:
+                        return res
+        failed.add(key)
+        return None
+
+    return dfs(0, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 8), st.data())
+def test_at_matches_the_per_leaf_search(n, data):
+    pairs = list(combinations(range(n), 2))
+    g = Graph(n, [p for p in pairs if data.draw(st.booleans())][:16])
+    # f in 0..4 near the degree, where the first leaf often fails
+    f = [min(4, max(0, g.degree(v) + data.draw(st.integers(-1, 1)))) for v in range(n)]
+    got, calls = counted_is_f_AT(g, f)
+    assert got == memo_f_AT(g, f)
+    # the first leaf, and the certificate if the expansion finds one
+    assert calls <= 2
+
+
+@pytest.mark.parametrize("g", [Graph.cycle(20), Graph.path(21)], ids=["C20", "P21"])
+def test_at_first_leaf_certifies_without_the_expansion(g):
+    # the first leaf is acyclic; the expansion could hold up to 2^20 terms
+    got, calls = counted_is_f_AT(g, [3] * g.n)
+    assert got is not None and calls == 1
+
+
+def test_at_matches_the_per_leaf_search_past_the_first_leaf():
+    # a triangle with f = (2, 2, 3) and a 17-edge path hanging off vertex 2:
+    # the per-leaf search visits 131,073 leaf out-vectors before it certifies
+    g = Graph(20, [(0, 1), (0, 2), (1, 2), (2, 3)] + [(v, v + 1) for v in range(3, 19)])
+    f = [2, 2, 3] + [3] * 17
+    got, calls = counted_is_f_AT(g, f)
+    assert got == memo_f_AT(g, f)
+    assert got is not None and calls == 2
+
+
+@pytest.mark.parametrize(
+    "g,f",
+    [(Graph.complete(7).remove_edge(0, 1), [5] * 7), (Graph.cycle(6), [2] * 6)],
+    ids=["K7-e exhaustive", "C6 certified"],
+)
+def test_at_leaves_no_cyclic_garbage(g, f):
+    gc.collect()
+    gc.disable()
+    try:
+        is_f_AT(g, f)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_at_budget():
