@@ -161,11 +161,16 @@ class DischargeParams:
         return (self.k - 1) + (2 - self.bp.p) * self.epsilon
 
 
+def _epsilon(bp: BoundParams, s: int) -> Fraction:
+    """epsilon = 1/(k+2+s*h-p): a degree-k vertex that sends epsilon on its
+    other edges and s gammas of gamma = epsilon*(h+1) keeps the target
+    (k-1) + (2-p)*epsilon."""
+    return 1 / F(bp.k + 2 + s * bp.h - bp.p)
+
+
 def make_params(k: int, bp: BoundParams, mode: str = "auto") -> DischargeParams:
     """The discharging parameters of a triple built for k that passes the
-    report of regime(k, mode).  epsilon = 1/(k+2+s*h-p): a degree-k vertex
-    that sends epsilon on its other edges and s gammas of
-    gamma = epsilon*(h+1) keeps the target (k-1) + (2-p)*epsilon."""
+    report of regime(k, mode)."""
     if bp.k != k:
         raise PreconditionError("bp was built for k=%d, not %d" % (bp.k, k))
     mode = regime(k, mode)
@@ -175,7 +180,7 @@ def make_params(k: int, bp: BoundParams, mode: str = "auto") -> DischargeParams:
             f"{report.name} conditions fail for k={k}: {', '.join(report.failed)}",
             witness=report,
         )
-    eps = 1 / F(k + 2 + REGIMES[mode].s * bp.h - bp.p)
+    eps = _epsilon(bp, REGIMES[mode].s)
     return DischargeParams(k, bp, mode, eps, eps * (bp.h + 1))
 
 

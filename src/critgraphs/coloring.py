@@ -9,6 +9,7 @@ from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, PreconditionError
 from .graph import Graph, _component_masks, _independent_subsets, _mask_bits
+from .structure import _blocks
 
 FVector = Sequence[int]
 
@@ -453,6 +454,19 @@ def _certificate(g: Graph, arcs: list[tuple[int, int]]) -> ATCertificate:
     return ATCertificate(o, ee, eo)
 
 
+def _block_polynomials(
+    g: Graph, edges: list[tuple[int, int]], caps: list[int], shift: list[int]
+) -> list[tuple[list[int], dict[int, int]]]:
+    """Per block, the indices of its edges in edges, ascending, and the capped
+    polynomial of those edges, packed as is_f_AT packs out-vectors."""
+    adj = g._adj
+    blocks = [b for comp in _component_masks(adj, (1 << g.n) - 1) for b in _blocks(adj, comp)[0]]
+    members: list[list[int]] = [[] for _ in blocks]
+    for e, (u, v) in enumerate(edges):
+        members[next(x for x, b in enumerate(blocks) if b >> u & 1 and b >> v & 1)].append(e)
+    return [(idx, _capped_polynomial([edges[e] for e in idx], caps, shift)) for idx in members]
+
+
 def is_f_AT(g: Graph, f: FVector, max_edges: int = AT_MAX_EDGES) -> Optional[ATCertificate]:
     """Search for an orientation with d+(v) <= f(v)-1 and EE != EO.  Edges are
     branched in lexicographic order, so the returned certificate is the first
@@ -479,9 +493,15 @@ def is_f_AT(g: Graph, f: FVector, max_edges: int = AT_MAX_EDGES) -> Optional[ATC
     weight = [1 << s for s in shift]
     failed: set[int] = set()
     # The first leaf goes through ee_eo: it is often acyclic and certifies,
-    # while the expansion can hold 2^m terms (a cycle with f = 3).  Once it
-    # fails, a leaf certifies iff its key is a term of the capped expansion.
-    poly: Optional[dict[int, int]] = None
+    # while an expansion can hold 2^m terms (a cycle with f = 3).  Once it
+    # fails, each block is expanded alone.  Every directed cycle lies in one
+    # block, so EE - EO is the product of the blocks' EE - EO (Alon-Tarsi): an
+    # orientation certifies iff each block's out-vector is a term of that
+    # block's expansion.  A block is judged as its last edge is oriented, so a
+    # leaf reached after the expansions certifies.  A one-edge block has both
+    # its terms whenever the caps allow the arc, so it is never judged.
+    closing: list = [None] * m  # closing[i]: the other edges and the terms of the block edge i ends
+    expanded = False
     branches = [((u, v), (v, u)) for u, v in edges]
     out = [0] * g.n
     arcs: list[tuple[int, int]] = []
@@ -491,19 +511,34 @@ def is_f_AT(g: Graph, f: FVector, max_edges: int = AT_MAX_EDGES) -> Optional[ATC
             if key in failed:
                 j = 2
             elif i == m:
-                if poly is None:
-                    cert = _certificate(g, arcs)
-                    if cert.ee != cert.eo:
-                        return cert
-                    poly = _capped_polynomial(edges, caps, shift)
-                    if not poly:
-                        return None
-                elif key in poly:
-                    return _certificate(g, arcs)
+                cert = _certificate(g, arcs)
+                if expanded or cert.ee != cert.eo:
+                    return cert
+                blocks = _block_polynomials(g, edges, caps, shift)
+                if not all(terms for _, terms in blocks):
+                    return None
+                expanded = True
+                top = m
+                for idx, terms in blocks:
+                    if len(idx) > 1:
+                        closing[idx[-1]] = (idx[:-1], terms)
+                        if sum(weight[arcs[e][0]] for e in idx) not in terms:
+                            top = min(top, idx[-1])
+                # No block on the path down here was judged: go back up to
+                # the node at the last edge of the first block that fails.
+                while i > top + 1:
+                    failed.add(key)
+                    i -= 1
+                    a, _ = arcs.pop()
+                    out[a] -= 1
+                    key -= weight[a]
                 j = 2
         if j < 2:
             a, b = branches[i][j]
-            if out[a] < caps[a]:
+            if out[a] < caps[a] and (
+                (c := closing[i]) is None
+                or weight[a] + sum(weight[arcs[e][0]] for e in c[0]) in c[1]
+            ):
                 out[a] += 1
                 arcs.append((a, b))
                 key += weight[a]

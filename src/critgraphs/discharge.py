@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 # make_params is re-exported: it lives with the bounds it produces
-from .bounds import DischargeParams, g_family, make_params
+from .bounds import DischargeParams, _epsilon, g_family, make_params, preset_params
 from .errors import EliminationFailed, PreconditionError
 from .graph import Graph, _clique_vertices, _mask_bits, _vertex_mask
 from .structure import REGIMES, _in_t_k, _w_q, build_auxiliary, eliminate, low_high_split
@@ -164,7 +164,9 @@ def run_gallai_discharge(g: Graph, k: int) -> ChargeLedger:
     _check_degrees(g, k)
     components = low_high_split(g, k).l_components
     _check_trees(g, k, components)
-    amount = Fraction(k - 1, k * k - 3)
+    # Gallai's bound is the gallai preset's target with no W, so no vertex
+    # sends a gamma: G1 sends that preset's epsilon, (k-1)/(k^2-3)
+    amount = _epsilon(preset_params(k, "gallai"), 0)
     return _discharge(g, k, amount, Fraction(0), ("G1", "G2"), components, (), ())
 
 

@@ -736,10 +736,83 @@ def test_at_matches_the_per_leaf_search_past_the_first_leaf():
     assert got is not None and calls == 2
 
 
+# a triangle with f = (2, 2, 19) and 17 pendant edges at vertex 2, f = 2 at
+# the leaves: one expansion of the whole graph holds 262,142 terms, while each
+# of its 18 blocks expands to 2
+PENDANT_TRIANGLE = (
+    Graph(20, [(0, 1), (0, 2), (1, 2)] + [(2, v) for v in range(3, 20)]),
+    [2, 2, 19] + [2] * 17,
+)
+
+
+def test_at_judges_the_blocks_of_the_first_path():
+    # the first leaf closes the directed triangle 1 -> 2 -> 6 -> 1 at edge
+    # (2, 6) and fails; a search that resumed below (2, 6) would return the
+    # next leaf, which keeps that triangle, as a certificate
+    g = Graph(7, [(0, 1), (0, 2), (1, 2), (1, 5), (1, 6), (2, 3), (2, 6), (4, 6)])
+    got, calls = counted_is_f_AT(g, [3] * 7)
+    assert got == memo_f_AT(g, [3] * 7)
+    assert got == (((0, 1), (0, 2), (1, 2), (1, 5), (6, 1), (2, 3), (6, 2), (4, 6)), 1, 0)
+    assert calls <= 2
+
+
+def test_at_expands_each_block_alone():
+    sizes = []
+    capped = coloring._capped_polynomial
+
+    def counting(edges, caps, shift):
+        poly = capped(edges, caps, shift)
+        sizes.append(len(poly))
+        return poly
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coloring, "_capped_polynomial", counting)
+        got, calls = counted_is_f_AT(*PENDANT_TRIANGLE)
+    assert got is not None and got[1:] == (1, 0)
+    assert calls == 2
+    assert sizes and max(sizes) <= 2
+
+
+BLOCK_SHAPES = [
+    Graph.complete(3),
+    Graph.complete(4),
+    Graph.cycle(5),
+    Graph.complete(4).remove_edge(0, 1),
+    Graph(6, [(v, (v + 1) % 6) for v in range(6)] + [(0, 3)]),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_at_matches_the_per_leaf_search_on_glued_blocks(data):
+    # 2-4 blocks, each glued at one existing vertex, then relabelled at random
+    n, edges = 0, []
+    for _ in range(data.draw(st.integers(2, 4))):
+        block = data.draw(st.sampled_from(BLOCK_SHAPES))
+        if len(edges) + block.m > 16:
+            continue
+        if n == 0:
+            label = list(range(block.n))
+        else:
+            label = [data.draw(st.integers(0, n - 1))] + list(range(n, n + block.n - 1))
+        edges += [(label[u], label[v]) for u, v in block.edges()]
+        n = label[-1] + 1
+    perm = data.draw(st.permutations(range(n)))
+    g = Graph(n, [(perm[u], perm[v]) for u, v in edges])
+    f = [max(0, g.degree(v) + data.draw(st.sampled_from([-1, 1]))) for v in range(n)]
+    got, calls = counted_is_f_AT(g, f)
+    assert got == memo_f_AT(g, f)
+    assert calls <= 2
+
+
 @pytest.mark.parametrize(
     "g,f",
-    [(Graph.complete(7).remove_edge(0, 1), [5] * 7), (Graph.cycle(6), [2] * 6)],
-    ids=["K7-e exhaustive", "C6 certified"],
+    [
+        (Graph.complete(7).remove_edge(0, 1), [5] * 7),
+        (Graph.cycle(6), [2] * 6),
+        PENDANT_TRIANGLE,
+    ],
+    ids=["K7-e exhaustive", "C6 certified", "pendant triangle certified"],
 )
 def test_at_leaves_no_cyclic_garbage(g, f):
     gc.collect()
