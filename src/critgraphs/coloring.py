@@ -5,6 +5,7 @@ budget and raises BudgetExceeded instead of silently truncating the search.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, PreconditionError
@@ -390,28 +391,19 @@ def ee_eo(d: Orientation, max_arcs: int = EE_EO_MAX_ARCS) -> tuple[int, int]:
 def ee_eo_poly(d: Orientation, max_arcs: int = EE_EO_MAX_ARCS) -> int:
     """EE - EO computed independently: it is, up to the sign of the number of
     descending arcs, the coefficient of prod x_v^outdeg(v) in
-    prod over edges u<v of (x_u - x_v)."""
+    prod over edges u<v of (x_u - x_v), expanded with each exponent capped at
+    its out-degree."""
     if len(d.arcs) > max_arcs:
         raise BudgetExceeded("ee_eo_poly limited to %d arcs" % max_arcs)
     target = d.out_degrees()
     sign = (-1) ** sum(1 for u, v in d.arcs if u > v)
-    poly: dict[tuple[int, ...], int] = {tuple([0] * d.base.n): 1}
-    for u, v in sorted((min(a, b), max(a, b)) for a, b in d.arcs):
-        nxt: dict[tuple[int, ...], int] = {}
-        for expo, coef in poly.items():
-            for w, s in ((u, coef), (v, -coef)):
-                if expo[w] + 1 > target[w]:
-                    continue
-                ne = list(expo)
-                ne[w] += 1
-                ne = tuple(ne)
-                nxt[ne] = nxt.get(ne, 0) + s
-        poly = {e: c for e, c in nxt.items() if c}
-    return sign * poly.get(target, 0)
+    shift = list(accumulate((t.bit_length() for t in target), initial=0))
+    poly = _capped_polynomial([(min(a, b), max(a, b)) for a, b in d.arcs], target, shift)
+    return sign * poly.get(sum(t << s for t, s in zip(target, shift)), 0)
 
 
 def _capped_polynomial(
-    edges: list[tuple[int, int]], caps: list[int], shift: list[int]
+    edges: list[tuple[int, int]], caps: Sequence[int], shift: list[int]
 ) -> dict[int, int]:
     """The nonzero terms of prod over edges (u, v) of (x_u - x_v) whose
     exponent at each v stays at most caps[v].  An exponent vector is packed as

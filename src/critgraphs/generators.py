@@ -1,7 +1,5 @@
 """Exhaustive enumeration of degree-bounded Gallai trees and the extremal chain families."""
 
-from functools import reduce
-from operator import xor
 from typing import Iterator
 
 from .errors import BudgetExceeded, PreconditionError
@@ -9,9 +7,9 @@ from .graph import Graph
 
 # Enumeration is exponential in n_max: the number of trees about triples from
 # n_max = 9 to 10, and no work budget bounds it yet.  At n_max = 10 it takes
-# about 0.03/0.13/0.23/0.28 s of CPU for k = 4/5/6/7, and verify-trees, which
-# checks the bounds on the way, 0.04/0.15/0.24/0.29 s (best of 9, 2-CPU host,
-# Python 3.11.7).
+# about 0.03/0.09/0.14/0.17 s of CPU for k = 4/5/6/7, and verify-trees, which
+# checks the bounds on the way, 0.10/0.15/0.19 s for k = 5/6/7 (best of 27
+# runs in three processes, 2-CPU host, Python 3.11.7).
 _ENUM_VERTEX_CAP = 10
 
 
@@ -27,67 +25,137 @@ def _attach(base: Graph, kind: str, ring: tuple[int, ...]) -> Graph:
     return Graph(base.n + size - 1, list(base.edges()) + extra)
 
 
-def _tree_code(n: int, blocks) -> tuple:
+def _tree_code(n: int, blocks, ids: dict) -> tuple[tuple, tuple]:
     """Canonical code of the connected graph on n vertices whose blocks are
     `blocks`, a sequence of (kind, ring) with kind "clique" or "cycle" (a
-    triangle is a clique) and a cycle's ring in cycle order.  Two such graphs
-    are isomorphic exactly when their codes are equal (Aho, Hopcroft &
-    Ullman's tree code on the block-cut tree).
+    triangle is a clique) and a cycle's ring in cycle order, and the peel
+    that computed it.  Two such graphs are isomorphic exactly when their
+    codes, taken with the same `ids`, are equal (Aho, Hopcroft & Ullman's
+    tree code on the block-cut tree).
 
     The code is rooted at the centre of the vertex-block incidence tree.
     Every leaf of that tree is a vertex, so every leaf-to-leaf path has even
     length and the centre is one node, found by peeling leaves layer by
-    layer.  Entered from block `parent`, vertex v's code is the sorted tuple
-    of the codes of its other blocks.  A clique entered at v is (0, sorted
-    codes of its other vertices); a cycle is (1, the codes of its other
-    vertices read around the ring from v, in the direction giving the
-    smaller sequence).  The root's code is tagged with its kind: a vertex
-    reads the sorted codes of its blocks, a clique the sorted codes of its
-    vertices, a cycle the least sequence of its vertices' codes over every
-    rotation and reflection of the ring.
+    layer.  Each peeled node gets the code of its subtree as a small int:
+    `ids` interns the tuple that describes it, numbering tuples as they are
+    first met, so it must live as long as the codes are compared.  Entered
+    from block `parent`, vertex v's tuple is the sorted codes of its other
+    blocks.  A clique entered at v is -1 and the sorted codes of its other
+    vertices; a cycle is -2 and the codes of its other vertices read around
+    the ring from v, in the direction giving the smaller sequence.  The
+    root's code is a flat tuple tagged with its kind: a vertex reads the
+    sorted codes of its blocks, a clique the sorted codes of its vertices,
+    a cycle the least sequence of its vertices' codes over every rotation
+    and reflection of the ring.
+
+    The peel is (links, codes, root): each node's neighbours in the
+    incidence tree (a block's ring), each peeled node's code, and the
+    centre, as _least_in_orbit reads them.
     """
-    if not blocks:
-        return ()
     # node v < n is vertex v, node n + b is block b
     links = [[] for _ in range(n)]
-    for b, (_, ring) in enumerate(blocks):
+    # the xor of each node's unpeeled neighbours: with one left, it is that one
+    rest = [0] * n
+    for b, (_, ring) in enumerate(blocks, n):
+        r = 0
         for v in ring:
-            links[v].append(n + b)
+            links[v].append(b)
+            rest[v] ^= b
+            r ^= v
+        rest.append(r)
     links += [ring for _, ring in blocks]
     left = [len(x) for x in links]
-    # the xor of each node's unpeeled neighbours: with one left, it is that one
-    rest = [reduce(xor, x) for x in links]
-    code: list = [None] * len(links)
-    layer = [v for v in range(n) if left[v] == 1]
+    codes = [-1] * len(links)
+    # K1 alone has no leaf: its one vertex is the centre
+    layer = [v for v in range(n) if left[v] <= 1]
     peeled = 0
+    get = ids.get
     while peeled + len(layer) < len(links):
         peeled += len(layer)
         grown = []
         for x in layer:
             parent = rest[x]
             if x < n:
-                code[x] = tuple(sorted(code[b] for b in links[x] if b != parent))
+                key = tuple(sorted([codes[b] for b in links[x] if b != parent]))
             else:
                 ring = links[x]
                 if blocks[x - n][0] == "clique":
-                    code[x] = (0, tuple(sorted(code[u] for u in ring if u != parent)))
+                    key = (-1, *sorted([codes[u] for u in ring if u != parent]))
                 else:
                     i = ring.index(parent)
-                    seq = tuple(code[u] for u in ring[i + 1:] + ring[:i])
-                    code[x] = (1, min(seq, seq[::-1]))
+                    seq = [codes[u] for u in ring[i + 1:] + ring[:i]]
+                    key = (-2, *min(seq, seq[::-1]))
+            c = get(key)
+            if c is None:
+                c = ids[key] = len(ids)
+            codes[x] = c
             rest[parent] ^= x
             left[parent] -= 1
             if left[parent] == 1:
                 grown.append(parent)
         layer = grown
     (root,) = layer
+    peel = (links, codes, root)
     if root < n:
-        return ("vertex", tuple(sorted(code[b] for b in links[root])))
+        return ("vertex", *sorted([codes[b] for b in links[root]])), peel
     kind, ring = blocks[root - n]
+    seq = [codes[u] for u in ring]
     if kind == "clique":
-        return (kind, tuple(sorted(code[u] for u in ring)))
-    seq = tuple(code[u] for u in ring)
-    return (kind, min(s[i:] + s[:i] for s in (seq, seq[::-1]) for i in range(len(seq))))
+        return (kind, *sorted(seq)), peel
+    return (kind, *min(s[i:] + s[:i] for s in (seq, seq[::-1]) for i in range(len(seq)))), peel
+
+
+def _least_in_orbit(n: int, blocks, peel: tuple) -> list[int]:
+    """For each vertex of the tree _tree_code peeled into `peel`, the least
+    vertex of its automorphism orbit.
+
+    Every automorphism fixes the centre, so orbits are read top-down from it:
+    two nodes share an orbit exactly when their parents do and they are in
+    the same class among their siblings.  Below a vertex or a clique, a
+    child's class is its code.  Below a cycle entered from its parent, it is
+    the child's position in the direction that gives the smaller sequence of
+    codes, positions i and L-1-i merging when the sequence is a palindrome.
+    Below a cycle at the centre, it is the least position the vertex takes
+    over the rotations and reflections of the ring that give the least
+    sequence.
+    """
+    links, codes, root = peel
+    orbit = [-1] * len(links)
+    labels: dict[tuple[int, int], int] = {}
+    stack = [(root, -1)]
+    while stack:
+        x, parent = stack.pop()
+        children = [c for c in links[x] if c != parent]
+        if x < n or blocks[x - n][0] == "clique":
+            cls = [codes[c] for c in children]
+        elif parent >= 0:
+            ring = links[x]
+            i = ring.index(parent)
+            children = ring[i + 1:] + ring[:i]
+            seq = [codes[u] for u in children]
+            last = len(seq) - 1
+            rev = seq[::-1]
+            if seq < rev:
+                cls = list(range(len(seq)))
+            elif seq > rev:
+                cls = [last - j for j in range(len(seq))]
+            else:
+                cls = [min(j, last - j) for j in range(len(seq))]
+        else:
+            ring = links[x]
+            readings = [s[i:] + s[:i] for s in (ring, ring[::-1]) for i in range(len(ring))]
+            best = min([codes[u] for u in r] for r in readings)
+            pos: dict[int, int] = {}
+            for r in readings:
+                if [codes[u] for u in r] == best:
+                    for j, u in enumerate(r):
+                        pos[u] = min(pos.get(u, j), j)
+            cls = [pos[u] for u in children]
+        for c, k in zip(children, cls):
+            orbit[c] = labels.setdefault((orbit[x], k), len(labels))
+            stack.append((c, x))
+    first: dict[int, int] = {}
+    return [first.setdefault(orbit[v], v) for v in range(n)]
 
 
 def enumerate_gallai_trees(k: int, n_max: int) -> Iterator[Graph]:
@@ -120,11 +188,12 @@ def _gallai_trees(k: int, n_max: int) -> Iterator[tuple[Graph, tuple]]:
     catalog = [("clique", t) for t in range(2, k)]
     catalog += [("cycle", t) for t in range(5, n_max + 1, 2)]
 
+    ids: dict[tuple, int] = {}
     seen: set[tuple] = set()
-    order: dict[int, list[tuple[Graph, tuple]]] = {n: [] for n in range(1, n_max + 1)}
-    order[1].append((Graph(1), ()))
+    order: dict[int, list[tuple[Graph, tuple, list[int]]]] = {n: [] for n in range(1, n_max + 1)}
+    order[1].append((Graph(1), (), [0]))
     for n in range(1, n_max + 1):
-        for g, blocks in order[n]:
+        for g, blocks, least in order[n]:
             yield g, blocks
             for kind, size in catalog:
                 m = n + size - 1
@@ -132,13 +201,17 @@ def _gallai_trees(k: int, n_max: int) -> Iterator[tuple[Graph, tuple]]:
                     continue
                 gain = size - 1 if kind == "clique" else 2
                 for v in range(n):
-                    if g.degree(v) + gain <= k - 1:
+                    # gluing at v and at any vertex of v's orbit gives
+                    # isomorphic graphs, and the least of the orbit comes first
+                    if least[v] == v and g.degree(v) + gain <= k - 1:
                         ring = (v, *range(n, m))
                         grown = blocks + ((kind, ring),)
-                        code = _tree_code(m, grown)
+                        code, peel = _tree_code(m, grown, ids)
                         if code not in seen:
                             seen.add(code)
-                            order[m].append((_attach(g, kind, ring), grown))
+                            # a tree on n_max vertices grows no further
+                            least_m = _least_in_orbit(m, grown, peel) if m < n_max else []
+                            order[m].append((_attach(g, kind, ring), grown, least_m))
 
 
 def _chain_order(k: int, m: int) -> int:

@@ -25,7 +25,8 @@ from critgraphs import (
     tree_bound_rhs,
 )
 from critgraphs.bounds import _tree_bound_sweep
-from critgraphs.generators import _attach, _tree_code
+from critgraphs import generators
+from critgraphs.generators import _attach, _gallai_trees, _least_in_orbit, _tree_code
 
 
 def test_enumeration_counts():
@@ -206,8 +207,9 @@ def test_centre_code_matches_all_roots_code(k):
     bijection on each vertex count."""
     forward, backward = {}, {}
     seen = 0
+    ids = {}
     for n, blocks in candidates(k, 8):
-        old, new = all_roots_code(n, blocks), _tree_code(n, blocks)
+        old, new = all_roots_code(n, blocks), _tree_code(n, blocks, ids)[0]
         assert forward.setdefault((n, old), new) == new
         assert backward.setdefault((n, new), old) == old
         seen += 1
@@ -220,6 +222,7 @@ def test_tree_code_ignores_labels():
     cover every kind of centre: a vertex, a clique and a cycle."""
     rng = Random(8)
     cycles = 0
+    ids = {}
     for k in (4, 5, 6, 7):
         centres = set()
         for g in enumerate_gallai_trees(k, 8):
@@ -239,18 +242,105 @@ def test_tree_code_ignores_labels():
                         ring.reverse()
                 moved.append((kind, tuple(ring)))
             rng.shuffle(moved)
-            code = _tree_code(g.n, blocks)
-            assert _tree_code(g.n, moved) == code
+            code = _tree_code(g.n, blocks, ids)[0]
+            assert _tree_code(g.n, moved, ids)[0] == code
             if g.n > 1:
                 centres.add(code[0])
         assert centres == {"vertex", "clique", "cycle"}, k
         clique = tuple(range(k - 1))
-        assert _tree_code(k - 1, [("clique", clique)])[0] == "clique"
+        assert _tree_code(k - 1, [("clique", clique)], ids)[0][0] == "clique"
     assert cycles > 0
     for size in (5, 7):
-        assert _tree_code(size, [("cycle", tuple(range(size)))])[0] == "cycle"
+        assert _tree_code(size, [("cycle", tuple(range(size)))], ids)[0][0] == "cycle"
     bowtie = [("clique", (0, 1, 2)), ("clique", (0, 3, 4))]
-    assert _tree_code(5, bowtie)[0] == "vertex"
+    assert _tree_code(5, bowtie, ids)[0][0] == "vertex"
+
+
+def marked_orbits(g):
+    """The automorphism orbits of g's vertices, by VF2: u and v share an
+    orbit when g with u marked is isomorphic to g with v marked."""
+    def marked(v):
+        h = graph_to_nx(g)
+        nx.set_node_attributes(h, {v: True}, "mark")
+        return h
+
+    same = nx.algorithms.isomorphism.categorical_node_match("mark", False)
+    orbits = []
+    for v in range(g.n):
+        h = marked(v)
+        home = next(
+            (o for o in orbits
+             if g.degree(o[0]) == g.degree(v) and nx.is_isomorphic(marked(o[0]), h, node_match=same)),
+            None,
+        )
+        if home is None:
+            orbits.append([v])
+        else:
+            home.append(v)
+    return orbits
+
+
+@pytest.mark.parametrize("k", [4, 5, 6, 7])
+def test_enumeration_glues_at_the_least_vertex_of_each_orbit(k, monkeypatch):
+    """For every tree up to 8 vertices, the vertices the enumeration glues
+    each kind of block at are exactly the least vertex of each orbit with
+    room for it.  The trees include cycle centres with a reflection."""
+    glued = {}
+    coded = generators._tree_code
+
+    def recording(n, blocks, ids):
+        kind, ring = blocks[-1]
+        glued.setdefault((blocks[:-1], kind, len(ring)), []).append(ring[0])
+        return coded(n, blocks, ids)
+
+    monkeypatch.setattr(generators, "_tree_code", recording)
+    trees = list(_gallai_trees(k, 8))
+    monkeypatch.undo()
+    catalog = [("clique", t) for t in range(2, k)] + [("cycle", t) for t in (5, 7)]
+    ids = {}
+    reflected = 0
+    for g, blocks in trees:
+        orbits = marked_orbits(g)
+        for kind, size in catalog:
+            gain = size - 1 if kind == "clique" else 2
+            room = [o[0] for o in orbits if g.degree(o[0]) + gain <= k - 1]
+            want = room if g.n + size - 1 <= 8 else []
+            assert glued.get((blocks, kind, size), []) == want, (g.n, sorted(g.edges()), kind, size)
+        # up to 8 vertices a tree has at most one cycle, so a cycle centre is it
+        if _tree_code(g.n, blocks, ids)[0][0] == "cycle":
+            (ring,) = [set(r) for kind, r in blocks if kind == "cycle"]
+            reflected += any(len(ring.intersection(o)) > 1 for o in orbits)
+    assert reflected > 0
+
+
+@pytest.mark.parametrize("k", [5, 7])
+def test_least_in_orbit_matches_vf2_up_to_nine_vertices(k):
+    """The least vertex of each orbit as read off the peel, on every tree up
+    to 9 vertices, whose cycles off the centre include some that read no
+    palindrome; trees up to 8 vertices glue nothing at such a cycle."""
+    ids = {}
+    for g, blocks in _gallai_trees(k, 9):
+        want = list(range(g.n))
+        for o in marked_orbits(g):
+            for v in o:
+                want[v] = o[0]
+        assert _least_in_orbit(g.n, blocks, _tree_code(g.n, blocks, ids)[1]) == want
+
+
+@pytest.mark.parametrize("k, codes", [(5, 3222), (7, 6287)])
+def test_enumeration_codes_one_candidate_per_orbit(k, codes, monkeypatch):
+    """The number of codes the enumeration computes up to 10 vertices: one
+    per kept tree, least orbit vertex and block kind with room."""
+    calls = []
+    coded = generators._tree_code
+
+    def counting(n, blocks, ids):
+        calls.append(n)
+        return coded(n, blocks, ids)
+
+    monkeypatch.setattr(generators, "_tree_code", counting)
+    list(enumerate_gallai_trees(k, 10))
+    assert len(calls) == codes
 
 
 def test_enumerated_trees_really_qualify():
