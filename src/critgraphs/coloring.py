@@ -100,7 +100,7 @@ def chromatic_number(g: Graph, max_vertices: int = CHI_MAX_VERTICES) -> int:
 
 
 # ---------------------------------------------------------------------------
-# choosability
+# choosability and the paint game
 
 # A graph fails f-choosability iff some assignment with |L(v)| = f(v) admits no
 # proper coloring.  The search below enumerates assignments as multisets of
@@ -113,7 +113,25 @@ def chromatic_number(g: Graph, max_vertices: int = CHI_MAX_VERTICES) -> int:
 # order they were dropped).  The class search keeps the sets of vertices the
 # classes so far can color, and reads them only through _peel, which is
 # monotone: a subset of a set that peels away peels away.  Those sets are
-# closed under subsets, so it keeps only the maximal ones.
+# closed under subsets, so it keeps only the maximal ones, and only the
+# maximal independent subsets of a class can give one.  One is_f_choosable
+# call computes each active set's ordered candidate classes and each class's
+# maximal independent subsets once, for all the masks it searches.
+#
+# The paint game peels the same way (Schauz, EJC 2009; Zhu, EJC 2009), and
+# skips two kinds of moves that cannot change its verdict:
+# (a) Lister offers only sets S in which every vertex has a neighbour in S.
+#     If v has no neighbour in S, each answer I' to S - v extends to the
+#     answer I' + v to S, reaching the S - v position with v deleted, and
+#     deleting a vertex never hurts Painter.  If Lister wins with a
+#     singleton {w}, Painter loses on mask - w, and Lister's winning move
+#     there wins on mask too.
+# (b) Painter's answers keep every vertex of S that has one token left: one
+#     left out would have none, and lose at once.
+# One call computes Lister's moves once per mask and Painter's answers once
+# per S.  On K5,5 with f = 3 (2-CPU host, Python 3.11.7, run back to back)
+# the paint game took 9.5 s before these and 1.9 s with them, and
+# choosability 55 s before its caches and 8.1 s with them.
 
 
 def _peel(adj, umask: int, r: Sequence[int]) -> int:
@@ -123,70 +141,115 @@ def _peel(adj, umask: int, r: Sequence[int]) -> int:
     changed = True
     while umask and changed:
         changed = False
-        for v in _mask_bits(umask):
-            if r[v] >= (adj[v] & umask).bit_count() + 1:
-                umask &= ~(1 << v)
+        rest = umask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            if r[v] > (adj[v] & umask).bit_count():
+                umask ^= low
                 changed = True
     return umask
 
 
-def _connected_supersets(g: Graph, pivot: int, allowed: int):
-    """All connected vertex sets containing pivot inside the allowed mask."""
+def _connected_supersets(adj, pivot: int, allowed: int) -> list[int]:
+    """All connected vertex sets containing pivot inside the allowed mask.
+    Each stack entry grows cur by frontier vertices, skipping the forbidden
+    ones an earlier sibling already grew by, so each set comes once."""
     out = []
-
-    def grow(cur: int, frontier: int, forbidden: int):
+    stack = [(1 << pivot, adj[pivot], 0)]
+    while stack:
+        cur, frontier, forbidden = stack.pop()
         out.append(cur)
         ext = frontier & allowed & ~cur & ~forbidden
         seen = 0
-        for v in _mask_bits(ext):
-            bit = 1 << v
-            grow(cur | bit, frontier | g.adj_mask(v), forbidden | seen)
+        while ext:
+            bit = ext & -ext
+            ext ^= bit
+            stack.append((cur | bit, frontier | adj[bit.bit_length() - 1], forbidden | seen))
             seen |= bit
-
-    grow(1 << pivot, g.adj_mask(pivot), 0)
     return out
 
 
-def _search_classes(g: Graph, mask: int, f: tuple[int, ...]):
+def _maximal_independent(adj, mask: int) -> list[int]:
+    """The independent subsets of mask that no vertex of mask can join."""
+    subs = [(0, 0)]  # an independent set and its vertices' neighbours
+    rest = mask
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        avoid = adj[bit.bit_length() - 1]
+        subs += [(s | bit, near | avoid) for s, near in subs if not s & avoid]
+    return [s for s, near in subs if not mask & ~(s | near)]
+
+
+def _search_classes(adj, mask: int, f: tuple[int, ...], cands: dict, maximal: dict):
     """Find a multiset of connected color classes of size >= 2, with each
     vertex v in exactly f(v) of them, admitting no proper coloring.  Returns
-    the class list or None."""
-    r = [f[v] if mask >> v & 1 else 0 for v in range(g.n)]
+    the class list or None.  cands and maximal are _class_dfs's caches."""
+    r = [f[v] if mask >> v & 1 else 0 for v in range(len(adj))]
+    active = 0
+    for v in _mask_bits(mask):
+        if r[v] > 0:
+            active |= 1 << v
+    return _class_dfs(adj, mask, r, active, [0], [], -1, 0, cands, maximal)
 
-    def dfs(reached: list, classes: list, prev: tuple):
-        # also the end test: with no demand left nothing peels, so this
-        # fires exactly when the classes color all of mask
-        if any(not _peel(g._adj, mask & ~m, r) for m in reached):
+
+def _class_dfs(adj, mask, r, active, reached, classes, prev_pivot, prev_c, cands, maximal):
+    """One node of the class search: classes so far, the maximal sets
+    reached that they can color, the demands r left and the active vertices
+    with demand left.  A class repeats its pivot's previous class or comes
+    after it, so each multiset is tried once.  cands maps an active set to
+    the connected classes of size >= 2 through its lowest vertex, largest
+    first; maximal maps a class to its maximal independent subsets."""
+    # also the end test: with no demand left nothing peels, so this fires
+    # exactly when the classes color all of mask
+    for m in reached:
+        if not _peel(adj, mask & ~m, r):
             return None
-        active = 0
-        for v in _mask_bits(mask):
-            if r[v] > 0:
-                active |= 1 << v
-        if not active:
-            return list(classes)
-        pivot = (active & -active).bit_length() - 1
-        cands = [c for c in _connected_supersets(g, pivot, active)
-                 if c.bit_count() >= 2]
-        cands.sort(key=lambda c: (-c.bit_count(), c))
-        for c in cands:
-            if prev[0] == pivot and c < prev[1]:
-                continue
-            for v in _mask_bits(c):
-                r[v] -= 1
-            subsets = _independent_subsets(g._adj, c)
-            grown = []
-            for m in sorted((old | s for old in reached for s in subsets),
-                            key=int.bit_count, reverse=True):
-                if all(m & ~o for o in grown):
-                    grown.append(m)
-            res = dfs(grown, classes + [c], (pivot, c))
-            if res is not None:
-                return res
-            for v in _mask_bits(c):
-                r[v] += 1
-        return None
-
-    return dfs([0], [], (-1, 0))
+    if not active:
+        return list(classes)
+    pivot = (active & -active).bit_length() - 1
+    order = cands.get(active)
+    if order is None:
+        order = [c for c in _connected_supersets(adj, pivot, active) if c & (c - 1)]
+        order.sort()
+        order.sort(key=int.bit_count, reverse=True)
+        cands[active] = order
+    for c in order:
+        if prev_pivot == pivot and c < prev_c:
+            continue
+        left = active
+        rest = c
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            r[v] -= 1
+            if not r[v]:
+                left ^= low
+        subsets = maximal.get(c)
+        if subsets is None:
+            subsets = maximal[c] = _maximal_independent(adj, c)
+        grown: list[int] = []
+        for m in sorted({old | s for old in reached for s in subsets},
+                        key=int.bit_count, reverse=True):
+            for o in grown:
+                if not m & ~o:
+                    break
+            else:
+                grown.append(m)
+        classes.append(c)
+        res = _class_dfs(adj, mask, r, left, grown, classes, pivot, c, cands, maximal)
+        if res is not None:
+            return res
+        classes.pop()
+        rest = c
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            r[low.bit_length() - 1] += 1
+    return None
 
 
 def _pad(witness: dict, f: tuple[int, ...], mask: int) -> dict:
@@ -199,13 +262,13 @@ def _pad(witness: dict, f: tuple[int, ...], mask: int) -> dict:
     return out
 
 
-def _not_choosable(g: Graph, f: tuple[int, ...], mask: int, memo: dict):
+def _not_choosable(g: Graph, f: tuple[int, ...], mask: int, memo: dict, cands: dict, maximal: dict):
     if mask not in memo:
-        memo[mask] = _bad_assignment(g, f, mask, memo)
+        memo[mask] = _bad_assignment(g, f, mask, memo, cands, maximal)
     return memo[mask]
 
 
-def _bad_assignment(g: Graph, f: tuple[int, ...], mask: int, memo: dict):
+def _bad_assignment(g: Graph, f: tuple[int, ...], mask: int, memo: dict, cands: dict, maximal: dict):
     """A list assignment of sizes f on mask with no proper coloring, or None."""
     for v in _mask_bits(mask):
         if f[v] == 0:
@@ -214,7 +277,7 @@ def _bad_assignment(g: Graph, f: tuple[int, ...], mask: int, memo: dict):
     comps = _component_masks(g._adj, mask)
     if len(comps) > 1:
         for comp in comps:
-            sub = _not_choosable(g, f, comp, memo)
+            sub = _not_choosable(g, f, comp, memo, cands, maximal)
             if sub is not None:
                 return _pad(sub, f, mask & ~comp)
         return None
@@ -222,13 +285,13 @@ def _bad_assignment(g: Graph, f: tuple[int, ...], mask: int, memo: dict):
     if not _peel(g._adj, mask, f):
         return None
 
-    classes = _search_classes(g, mask, f)
+    classes = _search_classes(g._adj, mask, f, cands, maximal)
     if classes is not None:
         return {v: tuple(i for i, c in enumerate(classes) if c >> v & 1)
                 for v in _mask_bits(mask)}
 
     for v in _mask_bits(mask):
-        sub = _not_choosable(g, f, mask & ~(1 << v), memo)
+        sub = _not_choosable(g, f, mask & ~(1 << v), memo, cands, maximal)
         if sub is not None:
             return _pad(sub, f, 1 << v)
     return None
@@ -243,14 +306,90 @@ def is_f_choosable(
     f = _check_f(g, f)
     if g.n > max_vertices:
         raise BudgetExceeded("is_f_choosable limited to %d vertices" % max_vertices)
-    witness = _not_choosable(g, f, (1 << g.n) - 1, {})
+    witness = _not_choosable(g, f, (1 << g.n) - 1, {}, {}, {})
     if witness is None:
         return True, None
     return False, witness
 
 
-# ---------------------------------------------------------------------------
-# paintability
+def _lister_moves(adj, mask: int) -> list[int]:
+    """The nonempty submasks of mask in which every vertex has a neighbour,
+    largest first, then ascending."""
+    sets = []
+    s = mask
+    while s:
+        rest = s
+        while rest:
+            low = rest & -rest
+            if not adj[low.bit_length() - 1] & s:
+                break
+            rest ^= low
+        else:
+            sets.append(s)
+        s = (s - 1) & mask
+    sets.reverse()
+    sets.sort(key=int.bit_count, reverse=True)
+    return sets
+
+
+def _paints(adj, mask: int, tok: tuple[int, ...], memo: dict, moves: dict, answers: dict) -> bool:
+    """Whether Painter wins with the vertices of mask live and tok[v] tokens
+    at v.  memo maps a token vector to its verdict, moves a mask to
+    _lister_moves, answers a set S to its independent subsets, largest
+    first."""
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if tok[low.bit_length() - 1] <= 0:
+            return False
+        rest ^= low
+    mask = _peel(adj, mask, tok)
+    if mask == 0:
+        return True
+    # the live vertices are exactly those with tokens left, so the token
+    # vector alone is the state
+    tok = tuple([t if mask >> v & 1 else 0 for v, t in enumerate(tok)])
+    res = memo.get(tok)
+    if res is not None:
+        return res
+    comps = _component_masks(adj, mask)
+    if len(comps) > 1:
+        res = True
+        for c in comps:
+            if not _paints(adj, c, tok, memo, moves, answers):
+                res = False
+                break
+        memo[tok] = res
+        return res
+    sets = moves.get(mask)
+    if sets is None:
+        sets = moves[mask] = _lister_moves(adj, mask)
+    last = 0  # the live vertices with one token left
+    for v, t in enumerate(tok):
+        if t == 1:
+            last |= 1 << v
+    res = True
+    for s in sets:
+        keep = s & last
+        subsets = answers.get(s)
+        if subsets is None:
+            subsets = answers[s] = sorted(_independent_subsets(adj, s), key=int.bit_count, reverse=True)
+        for i in subsets:
+            if i & keep != keep:
+                continue
+            ntok = list(tok)
+            rest = s & ~i
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                ntok[low.bit_length() - 1] -= 1
+            if _paints(adj, mask & ~i, tuple(ntok), memo, moves, answers):
+                break
+        else:
+            res = False
+            break
+    memo[tok] = res
+    return res
 
 
 def is_f_paintable(g: Graph, f: FVector, max_vertices: int = PAINT_MAX_VERTICES) -> bool:
@@ -260,52 +399,7 @@ def is_f_paintable(g: Graph, f: FVector, max_vertices: int = PAINT_MAX_VERTICES)
     f = _check_f(g, f)
     if g.n > max_vertices:
         raise BudgetExceeded("is_f_paintable limited to %d vertices" % max_vertices)
-    adj = g._adj
-    memo: dict[tuple[int, ...], bool] = {}
-
-    def win(mask: int, tok: tuple[int, ...]) -> bool:
-        for v in _mask_bits(mask):
-            if tok[v] <= 0:
-                return False
-        # Schauz (EJC 2009): a vertex with more tokens than live neighbours is
-        # painted once they are, so it leaves the game
-        mask = _peel(adj, mask, tok)
-        if mask == 0:
-            return True
-        # the live vertices are exactly those with tokens left, so the token
-        # vector alone is the state
-        tok = tuple(t if mask >> v & 1 else 0 for v, t in enumerate(tok))
-        if tok in memo:
-            return memo[tok]
-        comps = _component_masks(adj, mask)
-        if len(comps) > 1:
-            res = all(win(c, tok) for c in comps)
-            memo[tok] = res
-            return res
-        # Lister's moves: the nonempty submasks of mask, largest first
-        sets = []
-        s = mask
-        while s:
-            sets.append(s)
-            s = (s - 1) & mask
-        sets.sort(key=lambda s: (-s.bit_count(), s))
-        res = True
-        for s in sets:
-            answered = False
-            for i in sorted(_independent_subsets(adj, s), key=lambda x: -x.bit_count()):
-                ntok = list(tok)
-                for v in _mask_bits(s & ~i):
-                    ntok[v] -= 1
-                if win(mask & ~i, tuple(ntok)):
-                    answered = True
-                    break
-            if not answered:
-                res = False
-                break
-        memo[tok] = res
-        return res
-
-    return win((1 << g.n) - 1, f)
+    return _paints(g._adj, (1 << g.n) - 1, f, {}, {}, {})
 
 
 # ---------------------------------------------------------------------------

@@ -354,6 +354,7 @@ def k_nn(n):
         (square_of_cycle(9), 4),
         (k_nn(4), 3),
         (Graph(10, list(nx.petersen_graph().edges())), 3),
+        (k_nn(5), 3),
     ],
 )
 def test_paint_decides_up_to_the_budget(g, tokens):
@@ -433,6 +434,24 @@ def test_paint_matches_reference_search(n, data):
     g = Graph(n, [p for p in pairs if data.draw(st.booleans())])
     # tokens near the degree, so that some vertices peel and some do not
     f = [min(4, max(0, g.degree(v) + data.draw(st.integers(-2, 1)))) for v in range(n)]
+    assert is_f_paintable(g, f) == reference_f_paintable(g, f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 5), st.data())
+def test_paint_skips_only_dominated_moves(core, data):
+    # pendant vertices give Lister sets with a vertex that has no neighbour
+    # in them, and vertices at one token give Painter answers that leave one
+    # dry; the reference tries every move
+    pairs = list(combinations(range(core), 2))
+    edges = [p for p in pairs if data.draw(st.booleans())]
+    n = core + data.draw(st.integers(1, 7 - core))
+    edges += [(data.draw(st.integers(0, v - 1)), v) for v in range(core, n)]
+    g = Graph(n, edges)
+    # a third of the vertices at one token, the rest at their degree, where
+    # nothing peels
+    f = [1 if data.draw(st.integers(0, 2)) == 0 else max(1, min(4, g.degree(v)))
+         for v in range(n)]
     assert is_f_paintable(g, f) == reference_f_paintable(g, f)
 
 
@@ -822,6 +841,26 @@ def test_at_leaves_no_cyclic_garbage(g, f):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize(
+    "g,f",
+    [
+        (Graph.wheel(6), [3] * 7),
+        (Graph.cycle(5), [2] * 5),
+        (k_nn(3), [2] * 6),
+    ],
+    ids=["W6 with 3", "C5 with 2", "K3,3 with 2"],
+)
+def test_choose_and_paint_leave_no_cyclic_garbage(g, f):
+    for decide in (is_f_choosable, is_f_paintable):
+        gc.collect()
+        gc.disable()
+        try:
+            decide(g, f)
+            assert gc.collect() == 0, decide.__name__
+        finally:
+            gc.enable()
 
 
 def test_at_budget():
