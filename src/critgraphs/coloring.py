@@ -41,36 +41,35 @@ def _colorable(g: Graph, k: int) -> bool:
     """DSATUR backtracking with one vertex mask per colour in use."""
     if k >= g.n:
         return True
-    adj = g._adj
-    deg = g.degrees()
-    classes: list[int] = []
+    return _dsatur(g._adj, g.degrees(), [], k, (1 << g.n) - 1)
 
-    def bt(uncolored: int) -> bool:
-        if not uncolored:
-            return True
-        # max saturation, then max degree; the first such vertex
-        v, best_key = -1, (-1, -1)
-        for u in _mask_bits(uncolored):
-            key = (sum(1 for c in classes if c & adj[u]), deg[u])
-            if key > best_key:
-                v, best_key = u, key
-        bit = 1 << v
-        rest = uncolored & ~bit
-        for i, c in enumerate(classes):
-            if c & adj[v] == 0:
-                classes[i] = c | bit
-                if bt(rest):
-                    return True
-                classes[i] = c
-        # trying more than one brand-new color is a symmetric repeat
-        if len(classes) < k:
-            classes.append(bit)
-            if bt(rest):
+
+def _dsatur(adj, deg: tuple[int, ...], classes: list[int], k: int, uncolored: int) -> bool:
+    """Whether the uncolored vertices extend the colour classes so far to a
+    proper colouring with at most k classes."""
+    if not uncolored:
+        return True
+    # max saturation, then max degree; the first such vertex
+    v, best_key = -1, (-1, -1)
+    for u in _mask_bits(uncolored):
+        key = (sum(1 for c in classes if c & adj[u]), deg[u])
+        if key > best_key:
+            v, best_key = u, key
+    bit = 1 << v
+    rest = uncolored & ~bit
+    for i, c in enumerate(classes):
+        if c & adj[v] == 0:
+            classes[i] = c | bit
+            if _dsatur(adj, deg, classes, k, rest):
                 return True
-            classes.pop()
-        return False
-
-    return bt((1 << g.n) - 1)
+            classes[i] = c
+    # trying more than one brand-new color is a symmetric repeat
+    if len(classes) < k:
+        classes.append(bit)
+        if _dsatur(adj, deg, classes, k, rest):
+            return True
+        classes.pop()
+    return False
 
 
 def chromatic_number(g: Graph, max_vertices: int = CHI_MAX_VERTICES) -> int:

@@ -7,107 +7,133 @@ from .graph import Graph
 
 # Enumeration is exponential in n_max: the number of trees about triples from
 # n_max = 9 to 10, and no work budget bounds it yet.  At n_max = 10 it takes
-# about 0.03/0.09/0.14/0.17 s of CPU for k = 4/5/6/7, and verify-trees, which
-# checks the bounds on the way, 0.10/0.15/0.19 s for k = 5/6/7 (best of 27
-# runs in three processes, 2-CPU host, Python 3.11.7).
+# about 0.010/0.034/0.053/0.062 s of CPU for k = 4/5/6/7, and verify-trees,
+# which checks the bounds on the way, 0.039/0.063/0.073/0.077 s for
+# k = 5/6/7/8 (best of 27 runs in three processes, 2-CPU host, Python 3.11.7).
 _ENUM_VERTEX_CAP = 10
 
 
-def _attach(base: Graph, kind: str, ring: tuple[int, ...]) -> Graph:
-    """Glue a new block (clique or cycle) onto `base`.  `ring` lists the
-    block's vertices in cycle order: a vertex of `base`, then the new labels
-    base.n, base.n + 1, ..."""
+def _block_edges(kind: str, ring: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The edges of a block (clique or cycle) whose vertices, in cycle order,
+    are `ring`."""
     size = len(ring)
     if kind == "clique":
-        extra = [(ring[i], ring[j]) for i in range(size) for j in range(i + 1, size)]
-    else:
-        extra = [(ring[i], ring[(i + 1) % size]) for i in range(size)]
-    return Graph(base.n + size - 1, list(base.edges()) + extra)
+        return tuple((ring[i], ring[j]) for i in range(size) for j in range(i + 1, size))
+    return tuple((ring[i], ring[(i + 1) % size]) for i in range(size))
 
 
-def _tree_code(n: int, blocks, ids: dict) -> tuple[tuple, tuple]:
-    """Canonical code of the connected graph on n vertices whose blocks are
-    `blocks`, a sequence of (kind, ring) with kind "clique" or "cycle" (a
-    triangle is a clique) and a cycle's ring in cycle order, and the peel
-    that computed it.  Two such graphs are isomorphic exactly when their
-    codes, taken with the same `ids`, are equal (Aho, Hopcroft & Ullman's
-    tree code on the block-cut tree).
+# A tree's canonical code is Aho, Hopcroft & Ullman's tree code on its
+# vertex-block incidence tree, rooted at the centre.  Every leaf of that tree
+# is a vertex, so every leaf-to-leaf path has even length and the centre is
+# one node.  Each non-centre node's code is the code of its subtree, entered
+# from its parent toward the centre, as a small int: `ids` interns the tuple
+# that describes it, numbering tuples as they are first met, so it must live
+# as long as the codes are compared.  Vertex v's tuple is the sorted codes of
+# its other blocks.  A clique entered at v is -1 and the sorted codes of its
+# other vertices; a cycle is -2 and the codes of its other vertices read
+# around the ring from v, in the direction giving the smaller sequence.  The
+# centre's code is a flat tuple tagged with its kind: a vertex reads the
+# sorted codes of its blocks, a clique the sorted codes of its vertices, a
+# cycle the least sequence of its vertices' codes over every rotation and
+# reflection of the ring.  Two trees are isomorphic exactly when their codes,
+# taken with the same `ids`, are equal.
+#
+# The enumeration keeps each growable tree's peel as a tuple (edges, links,
+# parent, codes, centre, radius): its edge list, each node's neighbours in
+# the incidence tree (a vertex's blocks in glue order, a block's ring), each
+# node's neighbour toward the centre (-1 at the centre), each node's code (-1
+# at the centre), the centre, and the centre's distance to the farthest leaf.
+# Node v < n_max is vertex v and node n_max + b is block b, so node numbers do
+# not shift as vertices are added; the vertex nodes not yet in the tree are
+# empty.
 
-    The code is rooted at the centre of the vertex-block incidence tree.
-    Every leaf of that tree is a vertex, so every leaf-to-leaf path has even
-    length and the centre is one node, found by peeling leaves layer by
-    layer.  Each peeled node gets the code of its subtree as a small int:
-    `ids` interns the tuple that describes it, numbering tuples as they are
-    first met, so it must live as long as the codes are compared.  Entered
-    from block `parent`, vertex v's tuple is the sorted codes of its other
-    blocks.  A clique entered at v is -1 and the sorted codes of its other
-    vertices; a cycle is -2 and the codes of its other vertices read around
-    the ring from v, in the direction giving the smaller sequence.  The
-    root's code is a flat tuple tagged with its kind: a vertex reads the
-    sorted codes of its blocks, a clique the sorted codes of its vertices,
-    a cycle the least sequence of its vertices' codes over every rotation
-    and reflection of the ring.
 
-    The peel is (links, codes, root): each node's neighbours in the
-    incidence tree (a block's ring), each peeled node's code, and the
-    centre, as _least_in_orbit reads them.
-    """
-    # node v < n is vertex v, node n + b is block b
-    links = [[] for _ in range(n)]
-    # the xor of each node's unpeeled neighbours: with one left, it is that one
-    rest = [0] * n
-    for b, (_, ring) in enumerate(blocks, n):
-        r = 0
-        for v in ring:
-            links[v].append(b)
-            rest[v] ^= b
-            r ^= v
-        rest.append(r)
-    links += [ring for _, ring in blocks]
-    left = [len(x) for x in links]
-    codes = [-1] * len(links)
-    # K1 alone has no leaf: its one vertex is the centre
-    layer = [v for v in range(n) if left[v] <= 1]
-    peeled = 0
-    get = ids.get
-    while peeled + len(layer) < len(links):
-        peeled += len(layer)
-        grown = []
-        for x in layer:
-            parent = rest[x]
-            if x < n:
-                key = tuple(sorted([codes[b] for b in links[x] if b != parent]))
-            else:
-                ring = links[x]
-                if blocks[x - n][0] == "clique":
-                    key = (-1, *sorted([codes[u] for u in ring if u != parent]))
-                else:
-                    i = ring.index(parent)
-                    seq = [codes[u] for u in ring[i + 1:] + ring[:i]]
-                    key = (-2, *min(seq, seq[::-1]))
-            c = get(key)
-            if c is None:
-                c = ids[key] = len(ids)
-            codes[x] = c
-            rest[parent] ^= x
-            left[parent] -= 1
-            if left[parent] == 1:
-                grown.append(parent)
-        layer = grown
-    (root,) = layer
-    peel = (links, codes, root)
-    if root < n:
-        return ("vertex", *sorted([codes[b] for b in links[root]])), peel
-    kind, ring = blocks[root - n]
-    seq = [codes[u] for u in ring]
+def _child_key(up: int, around, codes, kind: str) -> tuple:
+    """The tuple that names the subtree of a node entered from its neighbour
+    `up`; `around` is the node's neighbours and kind is "vertex", "clique"
+    or "cycle"."""
+    if kind == "vertex":
+        return tuple(sorted([codes[y] for y in around if y != up]))
     if kind == "clique":
-        return (kind, *sorted(seq)), peel
-    return (kind, *min(s[i:] + s[:i] for s in (seq, seq[::-1]) for i in range(len(seq)))), peel
+        return (-1, *sorted([codes[u] for u in around if u != up]))
+    i = around.index(up)
+    seq = [codes[u] for u in around[i + 1:] + around[:i]]
+    return (-2, *min(seq, seq[::-1]))
 
 
-def _least_in_orbit(n: int, blocks, peel: tuple) -> list[int]:
-    """For each vertex of the tree _tree_code peeled into `peel`, the least
-    vertex of its automorphism orbit.
+def _centre_code(around, kind: str, codes) -> tuple:
+    """The canonical code of a tree whose centre, of the given kind, has the
+    neighbours `around`."""
+    seq = [codes[u] for u in around]
+    if kind == "cycle":
+        return (kind, *min(s[i:] + s[:i] for s in (seq, seq[::-1]) for i in range(len(seq))))
+    return (kind, *sorted(seq))
+
+
+def _glued_code(peel: tuple, blocks, kind: str, ring: tuple[int, ...], ids: dict) -> tuple[tuple, list, list, int]:
+    """Glue block (kind, ring) onto the tree whose peel is `peel` and whose
+    block list is `blocks`, at its vertex ring[0], the new vertices being
+    ring[1:]: the new tree's code, and its links, node codes and centre.
+
+    Only the new block, its new vertices and the nodes on the path from
+    ring[0] up to the centre get new codes; every other subtree is the
+    parent's.  The new leaves sit at depth(ring[0]) + 2.  Up to the radius
+    the centre stays; past it, the diameter grows by two and the centre
+    moves one step from the old centre toward the new block, the old centre
+    becoming a child of the new one."""
+    _, links, parent, codes, centre, radius = peel
+    v = ring[0]
+    b = len(links)
+    first_block = b - len(blocks)
+    blocks = blocks + ((kind, ring),)
+    at_b = (b,)
+    links = list(links)
+    links[v] += at_b
+    links.append(ring)
+    codes = list(codes)
+    leaf = ids.setdefault((), len(ids))
+    for u in ring[1:]:
+        links[u] = at_b
+        codes[u] = leaf
+    codes.append(ids.setdefault((-1 if kind == "clique" else -2, *[leaf] * (len(ring) - 1)), len(ids)))
+    path = [b, v]
+    while path[-1] != centre:
+        path.append(parent[path[-1]])
+    # path runs from the new block to the centre: its length is depth(v) + 2
+    top = centre if len(path) <= radius else path[-2]
+    recode = [(path[i], path[i + 1]) for i in range(1, path.index(top))]
+    if top != centre:
+        recode.append((centre, top))
+    for x, up in recode:
+        kind_x = "vertex" if x < first_block else blocks[x - first_block][0]
+        codes[x] = ids.setdefault(_child_key(up, links[x], codes, kind_x), len(ids))
+    codes[top] = -1
+    kind_top = "vertex" if top < first_block else blocks[top - first_block][0]
+    return _centre_code(links[top], kind_top, codes), links, codes, top
+
+
+def _grown_peel(peel: tuple, ring: tuple[int, ...], links: list, codes: list, top: int, edges: tuple) -> tuple:
+    """The peel of the tree _glued_code coded, from its parent's peel, the
+    new block's ring, the links, codes and centre _glued_code gave, and the
+    new tree's edges."""
+    _, _, parent, _, centre, radius = peel
+    b = len(parent)
+    parent = list(parent)
+    for u in ring[1:]:
+        parent[u] = b
+    parent.append(ring[0])
+    if top != centre:
+        parent[centre] = top
+        parent[top] = -1
+        radius += 1
+    return edges, tuple(links), tuple(parent), tuple(codes), top, radius
+
+
+def _least_in_orbit(n: int, blocks, links, codes, root: int) -> list[int]:
+    """For each vertex of the tree on n vertices with block list `blocks`,
+    the least vertex of its automorphism orbit, read off its peel: each
+    node's links, each node's code and the centre.  Nodes below n are the
+    vertices, and block b is node len(links) - len(blocks) + b.
 
     Every automorphism fixes the centre, so orbits are read top-down from it:
     two nodes share an orbit exactly when their parents do and they are in
@@ -119,14 +145,14 @@ def _least_in_orbit(n: int, blocks, peel: tuple) -> list[int]:
     over the rotations and reflections of the ring that give the least
     sequence.
     """
-    links, codes, root = peel
+    first_block = len(links) - len(blocks)
     orbit = [-1] * len(links)
     labels: dict[tuple[int, int], int] = {}
     stack = [(root, -1)]
     while stack:
         x, parent = stack.pop()
         children = [c for c in links[x] if c != parent]
-        if x < n or blocks[x - n][0] == "clique":
+        if x < n or blocks[x - first_block][0] == "clique":
             cls = [codes[c] for c in children]
         elif parent >= 0:
             ring = links[x]
@@ -169,8 +195,9 @@ def enumerate_gallai_trees(k: int, n_max: int) -> Iterator[Graph]:
 
 def _gallai_trees(k: int, n_max: int) -> Iterator[tuple[Graph, tuple]]:
     """enumerate_gallai_trees with each tree's block list: (g, blocks), where
-    blocks is a tuple of (kind, ring) as _tree_code reads it, in the order
-    the blocks were glued on."""
+    blocks is a tuple of (kind, ring), kind "clique" or "cycle" (a triangle
+    is a clique) and a cycle's ring in cycle order, in the order the blocks
+    were glued on."""
     if k < 4:
         raise PreconditionError("k must be at least 4", witness=k)
     if n_max > _ENUM_VERTEX_CAP:
@@ -182,19 +209,24 @@ def _gallai_trees(k: int, n_max: int) -> Iterator[tuple[Graph, tuple]]:
 
     # Every member arises from a smaller one by gluing a leaf block at a cut
     # vertex: cliques K_2..K_{k-1} or odd cycles (C_3 is K_3).  K_k never
-    # appears because clique blocks stop at k-1.  Each graph carries its
-    # block list, so its canonical code needs no search of the graph, and
-    # a candidate's Graph is built only when its code is new.
+    # appears because clique blocks stop at k-1.  Each tree that can still
+    # grow carries its peel, so a candidate is coded along one path of it,
+    # and a candidate's Graph is built only when its code is new.
     catalog = [("clique", t) for t in range(2, k)]
     catalog += [("cycle", t) for t in range(5, n_max + 1, 2)]
 
     ids: dict[tuple, int] = {}
     seen: set[tuple] = set()
-    order: dict[int, list[tuple[Graph, tuple, list[int]]]] = {n: [] for n in range(1, n_max + 1)}
-    order[1].append((Graph(1), (), [0]))
+    # level n holds (g, blocks, peel) per kept tree on n vertices; the peel
+    # is None on n_max vertices, where nothing grows
+    order: dict[int, list[tuple]] = {n: [] for n in range(1, n_max + 1)}
+    order[1].append((Graph(1), (), ((), ((),) * n_max, (-1,) * n_max, (-1,) * n_max, 0, 0)))
     for n in range(1, n_max + 1):
-        for g, blocks, least in order[n]:
+        for g, blocks, peel in order.pop(n):
             yield g, blocks
+            if peel is None:
+                continue
+            least = _least_in_orbit(n, blocks, peel[1], peel[3], peel[4])
             for kind, size in catalog:
                 m = n + size - 1
                 if m > n_max:
@@ -205,13 +237,12 @@ def _gallai_trees(k: int, n_max: int) -> Iterator[tuple[Graph, tuple]]:
                     # isomorphic graphs, and the least of the orbit comes first
                     if least[v] == v and g.degree(v) + gain <= k - 1:
                         ring = (v, *range(n, m))
-                        grown = blocks + ((kind, ring),)
-                        code, peel = _tree_code(m, grown, ids)
+                        code, links, codes, top = _glued_code(peel, blocks, kind, ring, ids)
                         if code not in seen:
                             seen.add(code)
-                            # a tree on n_max vertices grows no further
-                            least_m = _least_in_orbit(m, grown, peel) if m < n_max else []
-                            order[m].append((_attach(g, kind, ring), grown, least_m))
+                            edges = peel[0] + _block_edges(kind, ring)
+                            peel_m = _grown_peel(peel, ring, links, codes, top, edges) if m < n_max else None
+                            order[m].append((Graph(m, edges), blocks + ((kind, ring),), peel_m))
 
 
 def _chain_order(k: int, m: int) -> int:

@@ -863,6 +863,19 @@ def test_choose_and_paint_leave_no_cyclic_garbage(g, f):
             gc.enable()
 
 
+def test_chromatic_number_leaves_no_cyclic_garbage():
+    """C5 with a two-edge path attached: the greedy clique has 2 vertices and
+    the greedy colouring 3 colours, so the DSATUR search runs at k = 2."""
+    g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (5, 6)])
+    gc.collect()
+    gc.disable()
+    try:
+        assert chromatic_number(g) == 3
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_at_budget():
     with pytest.raises(BudgetExceeded):
         at_number(Graph.complete(7))

@@ -26,7 +26,7 @@ from critgraphs import (
 )
 from critgraphs.bounds import _tree_bound_sweep
 from critgraphs import generators
-from critgraphs.generators import _attach, _gallai_trees, _least_in_orbit, _tree_code
+from critgraphs.generators import _gallai_trees, _least_in_orbit
 
 
 def test_enumeration_counts():
@@ -105,6 +105,101 @@ def test_enumeration_matches_atlas_filter(k):
         hits.add(key)
 
 
+def attach(base: Graph, kind: str, ring: tuple[int, ...]) -> Graph:
+    """Glue a new block (clique or cycle) onto `base`.  `ring` lists the
+    block's vertices in cycle order: a vertex of `base`, then the new labels
+    base.n, base.n + 1, ..."""
+    size = len(ring)
+    if kind == "clique":
+        extra = [(ring[i], ring[j]) for i in range(size) for j in range(i + 1, size)]
+    else:
+        extra = [(ring[i], ring[(i + 1) % size]) for i in range(size)]
+    return Graph(base.n + size - 1, list(base.edges()) + extra)
+
+
+def reference_tree_code(n: int, blocks, ids: dict) -> tuple[tuple, tuple]:
+    """The reference for the enumeration's `_glued_code`, which recodes one
+    path of the parent's peel where this peels the whole tree.
+
+    Canonical code of the connected graph on n vertices whose blocks are
+    `blocks`, a sequence of (kind, ring) with kind "clique" or "cycle" (a
+    triangle is a clique) and a cycle's ring in cycle order, and the peel
+    that computed it.  Two such graphs are isomorphic exactly when their
+    codes, taken with the same `ids`, are equal (Aho, Hopcroft & Ullman's
+    tree code on the block-cut tree).
+
+    The code is rooted at the centre of the vertex-block incidence tree.
+    Every leaf of that tree is a vertex, so every leaf-to-leaf path has even
+    length and the centre is one node, found by peeling leaves layer by
+    layer.  Each peeled node gets the code of its subtree as a small int:
+    `ids` interns the tuple that describes it, numbering tuples as they are
+    first met, so it must live as long as the codes are compared.  Entered
+    from block `parent`, vertex v's tuple is the sorted codes of its other
+    blocks.  A clique entered at v is -1 and the sorted codes of its other
+    vertices; a cycle is -2 and the codes of its other vertices read around
+    the ring from v, in the direction giving the smaller sequence.  The
+    root's code is a flat tuple tagged with its kind: a vertex reads the
+    sorted codes of its blocks, a clique the sorted codes of its vertices,
+    a cycle the least sequence of its vertices' codes over every rotation
+    and reflection of the ring.
+
+    The peel is (links, codes, root): each node's neighbours in the
+    incidence tree (a block's ring), each peeled node's code, and the
+    centre, as _least_in_orbit reads them; block b is node n + b.
+    """
+    # node v < n is vertex v, node n + b is block b
+    links = [[] for _ in range(n)]
+    # the xor of each node's unpeeled neighbours: with one left, it is that one
+    rest = [0] * n
+    for b, (_, ring) in enumerate(blocks, n):
+        r = 0
+        for v in ring:
+            links[v].append(b)
+            rest[v] ^= b
+            r ^= v
+        rest.append(r)
+    links += [ring for _, ring in blocks]
+    left = [len(x) for x in links]
+    codes = [-1] * len(links)
+    # K1 alone has no leaf: its one vertex is the centre
+    layer = [v for v in range(n) if left[v] <= 1]
+    peeled = 0
+    get = ids.get
+    while peeled + len(layer) < len(links):
+        peeled += len(layer)
+        grown = []
+        for x in layer:
+            parent = rest[x]
+            if x < n:
+                key = tuple(sorted([codes[b] for b in links[x] if b != parent]))
+            else:
+                ring = links[x]
+                if blocks[x - n][0] == "clique":
+                    key = (-1, *sorted([codes[u] for u in ring if u != parent]))
+                else:
+                    i = ring.index(parent)
+                    seq = [codes[u] for u in ring[i + 1:] + ring[:i]]
+                    key = (-2, *min(seq, seq[::-1]))
+            c = get(key)
+            if c is None:
+                c = ids[key] = len(ids)
+            codes[x] = c
+            rest[parent] ^= x
+            left[parent] -= 1
+            if left[parent] == 1:
+                grown.append(parent)
+        layer = grown
+    (root,) = layer
+    peel = (links, codes, root)
+    if root < n:
+        return ("vertex", *sorted([codes[b] for b in links[root]])), peel
+    kind, ring = blocks[root - n]
+    seq = [codes[u] for u in ring]
+    if kind == "clique":
+        return (kind, *sorted(seq)), peel
+    return (kind, *min(s[i:] + s[:i] for s in (seq, seq[::-1]) for i in range(len(seq)))), peel
+
+
 def reference_gallai_trees(k, n_max):
     """The enumeration with isomorphism buckets: a new graph is dropped when
     are_isomorphic finds it among the earlier graphs of the same size, edge
@@ -130,7 +225,7 @@ def reference_gallai_trees(k, n_max):
                 gain = size - 1 if kind == "clique" else 2
                 for v in range(n):
                     if g.degree(v) + gain <= k - 1:
-                        register(_attach(g, kind, (v, *range(n, n + size - 1))))
+                        register(attach(g, kind, (v, *range(n, n + size - 1))))
 
 
 @pytest.mark.parametrize("k", [4, 5, 6, 7])
@@ -160,7 +255,8 @@ def tree_blocks(g):
 
 def all_roots_code(n, blocks):
     """The tree code taken from every vertex as root, keeping the least: the
-    reference that `_tree_code`, rooted at the centre only, must match."""
+    reference that `reference_tree_code`, rooted at the centre only, must
+    match."""
     at = [[] for _ in range(n)]
     for b, (_, ring) in enumerate(blocks):
         for v in ring:
@@ -209,7 +305,7 @@ def test_centre_code_matches_all_roots_code(k):
     seen = 0
     ids = {}
     for n, blocks in candidates(k, 8):
-        old, new = all_roots_code(n, blocks), _tree_code(n, blocks, ids)[0]
+        old, new = all_roots_code(n, blocks), reference_tree_code(n, blocks, ids)[0]
         assert forward.setdefault((n, old), new) == new
         assert backward.setdefault((n, new), old) == old
         seen += 1
@@ -242,18 +338,18 @@ def test_tree_code_ignores_labels():
                         ring.reverse()
                 moved.append((kind, tuple(ring)))
             rng.shuffle(moved)
-            code = _tree_code(g.n, blocks, ids)[0]
-            assert _tree_code(g.n, moved, ids)[0] == code
+            code = reference_tree_code(g.n, blocks, ids)[0]
+            assert reference_tree_code(g.n, moved, ids)[0] == code
             if g.n > 1:
                 centres.add(code[0])
         assert centres == {"vertex", "clique", "cycle"}, k
         clique = tuple(range(k - 1))
-        assert _tree_code(k - 1, [("clique", clique)], ids)[0][0] == "clique"
+        assert reference_tree_code(k - 1, [("clique", clique)], ids)[0][0] == "clique"
     assert cycles > 0
     for size in (5, 7):
-        assert _tree_code(size, [("cycle", tuple(range(size)))], ids)[0][0] == "cycle"
+        assert reference_tree_code(size, [("cycle", tuple(range(size)))], ids)[0][0] == "cycle"
     bowtie = [("clique", (0, 1, 2)), ("clique", (0, 3, 4))]
-    assert _tree_code(5, bowtie, ids)[0][0] == "vertex"
+    assert reference_tree_code(5, bowtie, ids)[0][0] == "vertex"
 
 
 def marked_orbits(g):
@@ -286,14 +382,13 @@ def test_enumeration_glues_at_the_least_vertex_of_each_orbit(k, monkeypatch):
     each kind of block at are exactly the least vertex of each orbit with
     room for it.  The trees include cycle centres with a reflection."""
     glued = {}
-    coded = generators._tree_code
+    coded = generators._glued_code
 
-    def recording(n, blocks, ids):
-        kind, ring = blocks[-1]
-        glued.setdefault((blocks[:-1], kind, len(ring)), []).append(ring[0])
-        return coded(n, blocks, ids)
+    def recording(peel, blocks, kind, ring, ids):
+        glued.setdefault((blocks, kind, len(ring)), []).append(ring[0])
+        return coded(peel, blocks, kind, ring, ids)
 
-    monkeypatch.setattr(generators, "_tree_code", recording)
+    monkeypatch.setattr(generators, "_glued_code", recording)
     trees = list(_gallai_trees(k, 8))
     monkeypatch.undo()
     catalog = [("clique", t) for t in range(2, k)] + [("cycle", t) for t in (5, 7)]
@@ -307,7 +402,7 @@ def test_enumeration_glues_at_the_least_vertex_of_each_orbit(k, monkeypatch):
             want = room if g.n + size - 1 <= 8 else []
             assert glued.get((blocks, kind, size), []) == want, (g.n, sorted(g.edges()), kind, size)
         # up to 8 vertices a tree has at most one cycle, so a cycle centre is it
-        if _tree_code(g.n, blocks, ids)[0][0] == "cycle":
+        if reference_tree_code(g.n, blocks, ids)[0][0] == "cycle":
             (ring,) = [set(r) for kind, r in blocks if kind == "cycle"]
             reflected += any(len(ring.intersection(o)) > 1 for o in orbits)
     assert reflected > 0
@@ -324,7 +419,77 @@ def test_least_in_orbit_matches_vf2_up_to_nine_vertices(k):
         for o in marked_orbits(g):
             for v in o:
                 want[v] = o[0]
-        assert _least_in_orbit(g.n, blocks, _tree_code(g.n, blocks, ids)[1]) == want
+        assert _least_in_orbit(g.n, blocks, *reference_tree_code(g.n, blocks, ids)[1]) == want
+
+
+@pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
+def test_glued_code_matches_reference_tree_code(k, monkeypatch):
+    """On every candidate up to 10 vertices, the code, node codes and centre
+    recoded along one path of the parent's peel equal the from-scratch
+    peel's, taken with the same `ids`; every kept tree's peel is the one
+    the reference finds (its links, each node's neighbour toward the centre
+    and the radius included), and its orbits read the same off either."""
+    n_max = 10
+    glued, grown_peel, least_in_orbit = (
+        generators._glued_code, generators._grown_peel, generators._least_in_orbit)
+    centres = set()
+    last = []
+    kept = []
+
+    def node_map(m, blocks):
+        # the reference's node i is the enumeration's node_map[i]
+        return list(range(m)) + [n_max + b for b in range(len(blocks))]
+
+    def checking(peel, blocks, kind, ring, ids):
+        m, grown = ring[-1] + 1, blocks + ((kind, ring),)
+        want, (_, want_codes, root) = reference_tree_code(m, grown, ids)
+        out = code, _, codes, top = glued(peel, blocks, kind, ring, ids)
+        node = node_map(m, grown)
+        assert (code, [codes[x] for x in node], node[root]) == (want, want_codes, top)
+        centres.add((len(peel[1]) == n_max, code[0]))
+        last[:] = [m, grown]
+        return out
+
+    def checking_peel(peel, ring, links, codes, top, edges):
+        out = grown_peel(peel, ring, links, codes, top, edges)
+        edges, links, parent, codes, centre, radius = out
+        m, grown = last
+        want_links = reference_tree_code(m, grown, {})[1][0]
+        node = node_map(m, grown)
+        assert [links[x] for x in node] == [tuple(node[y] for y in ys) for ys in want_links]
+        # each node's neighbour toward the centre and the radius, by a walk
+        # from the centre
+        up, depth, stack = {centre: -1}, {centre: 0}, [centre]
+        while stack:
+            x = stack.pop()
+            for y in links[x]:
+                if y not in up:
+                    up[y], depth[y] = x, depth[x] + 1
+                    stack.append(y)
+        assert radius == max(depth.values())
+        assert [parent[x] for x in node] == [up[x] for x in node]
+        g = Graph(1)
+        for kind, ring in grown:
+            g = attach(g, kind, ring)
+        assert Graph(m, edges) == g
+        kept.append(m)
+        return out
+
+    def checking_least(n, blocks, links, codes, root):
+        got = least_in_orbit(n, blocks, links, codes, root)
+        assert got == least_in_orbit(n, blocks, *reference_tree_code(n, blocks, {})[1])
+        return got
+
+    monkeypatch.setattr(generators, "_glued_code", checking)
+    monkeypatch.setattr(generators, "_grown_peel", checking_peel)
+    monkeypatch.setattr(generators, "_least_in_orbit", checking_least)
+    sizes = [g.n for g, _ in _gallai_trees(k, n_max)]
+    # every tree but K1 and those on n_max vertices got its peel from a parent
+    assert len(kept) == sum(n < n_max for n in sizes) - 1
+    # the one-vertex start, whose centre moves to the first block, and every
+    # kind of centre after it
+    assert centres >= {(True, "clique"), (False, "vertex"), (False, "clique"), (False, "cycle")}
+    assert sizes.count(n_max) > 0
 
 
 @pytest.mark.parametrize("k, codes", [(5, 3222), (7, 6287)])
@@ -332,13 +497,13 @@ def test_enumeration_codes_one_candidate_per_orbit(k, codes, monkeypatch):
     """The number of codes the enumeration computes up to 10 vertices: one
     per kept tree, least orbit vertex and block kind with room."""
     calls = []
-    coded = generators._tree_code
+    coded = generators._glued_code
 
-    def counting(n, blocks, ids):
-        calls.append(n)
-        return coded(n, blocks, ids)
+    def counting(peel, blocks, kind, ring, ids):
+        calls.append(ring)
+        return coded(peel, blocks, kind, ring, ids)
 
-    monkeypatch.setattr(generators, "_tree_code", counting)
+    monkeypatch.setattr(generators, "_glued_code", counting)
     list(enumerate_gallai_trees(k, 10))
     assert len(calls) == codes
 
