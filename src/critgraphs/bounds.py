@@ -79,6 +79,8 @@ def dirac_bound(k: int, n: int) -> int:
 
 def ky_bound(k: int, n: int) -> int:
     """Lower bound on the edge count: ceil(((k+1)(k-2)n - k(k-3)) / (2(k-1)))."""
+    if k < 2:
+        raise PreconditionError(f"ky_bound denominator not positive for k={k}")
     num = (k + 1) * (k - 2) * n - k * (k - 3)
     den = 2 * (k - 1)
     return -((-num) // den)

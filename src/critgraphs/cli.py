@@ -566,7 +566,7 @@ def _cmd_census(args):
     for n, row in rows.items():
         # the first bound is on 2||G|| and assumes G != K_k; the second on ||G||
         row["dirac_2m"] = dirac_bound(k, n)
-        row["ky_edges"] = ky_bound(k, n)
+        row["ky_edges"] = ky_bound(k, n) if k >= 2 else None
     # the reference table starts at k = 4; its "here" column is the main bound
     row = table1([k])[k] if k >= 4 else {}
     avg_bounds = {

@@ -603,21 +603,15 @@ def is_f_AT(g: Graph, f: FVector, max_edges: int = AT_MAX_EDGES) -> Optional[ATC
                 if not all(terms for _, terms in blocks):
                     return None
                 expanded = True
-                top = m
                 for idx, terms in blocks:
                     if len(idx) > 1:
                         closing[idx[-1]] = (idx[:-1], terms)
-                        if sum(weight[arcs[e][0]] for e in idx) not in terms:
-                            top = min(top, idx[-1])
-                # No block on the path down here was judged: go back up to
-                # the node at the last edge of the first block that fails.
-                while i > top + 1:
-                    failed.add(key)
-                    i -= 1
-                    a, _ = arcs.pop()
-                    out[a] -= 1
-                    key -= weight[a]
-                j = 2
+                # search again from the root with every block judged; a
+                # failed state stays failed, as it depends on (i, out) only
+                out = [0] * g.n
+                arcs = []
+                i = key = 0
+                continue
         if j < 2:
             a, b = branches[i][j]
             if out[a] < caps[a] and (

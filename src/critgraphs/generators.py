@@ -70,10 +70,11 @@ def _centre_code(around, kind: str, codes) -> tuple:
     return (kind, *sorted(seq))
 
 
-def _glued_code(peel: tuple, blocks, kind: str, ring: tuple[int, ...], ids: dict) -> tuple[tuple, list, list, int]:
+def _glued_code(peel: tuple, blocks, kind: str, ring: tuple[int, ...], ids: dict) -> tuple[tuple, tuple]:
     """Glue block (kind, ring) onto the tree whose peel is `peel` and whose
     block list is `blocks`, at its vertex ring[0], the new vertices being
-    ring[1:]: the new tree's code, and its links, node codes and centre.
+    ring[1:]: the new tree's code, and the rest of its peel (links, parent,
+    codes, centre, radius).
 
     Only the new block, its new vertices and the nodes on the path from
     ring[0] up to the centre get new codes; every other subtree is the
@@ -90,10 +91,13 @@ def _glued_code(peel: tuple, blocks, kind: str, ring: tuple[int, ...], ids: dict
     links = list(links)
     links[v] += at_b
     links.append(ring)
+    parent = list(parent)
+    parent.append(v)
     codes = list(codes)
     leaf = ids.setdefault((), len(ids))
     for u in ring[1:]:
         links[u] = at_b
+        parent[u] = b
         codes[u] = leaf
     codes.append(ids.setdefault((-1 if kind == "clique" else -2, *[leaf] * (len(ring) - 1)), len(ids)))
     path = [b, v]
@@ -104,29 +108,14 @@ def _glued_code(peel: tuple, blocks, kind: str, ring: tuple[int, ...], ids: dict
     recode = [(path[i], path[i + 1]) for i in range(1, path.index(top))]
     if top != centre:
         recode.append((centre, top))
+        parent[centre], parent[top] = top, -1
+        radius += 1
     for x, up in recode:
         kind_x = "vertex" if x < first_block else blocks[x - first_block][0]
         codes[x] = ids.setdefault(_child_key(up, links[x], codes, kind_x), len(ids))
     codes[top] = -1
     kind_top = "vertex" if top < first_block else blocks[top - first_block][0]
-    return _centre_code(links[top], kind_top, codes), links, codes, top
-
-
-def _grown_peel(peel: tuple, ring: tuple[int, ...], links: list, codes: list, top: int, edges: tuple) -> tuple:
-    """The peel of the tree _glued_code coded, from its parent's peel, the
-    new block's ring, the links, codes and centre _glued_code gave, and the
-    new tree's edges."""
-    _, _, parent, _, centre, radius = peel
-    b = len(parent)
-    parent = list(parent)
-    for u in ring[1:]:
-        parent[u] = b
-    parent.append(ring[0])
-    if top != centre:
-        parent[centre] = top
-        parent[top] = -1
-        radius += 1
-    return edges, tuple(links), tuple(parent), tuple(codes), top, radius
+    return _centre_code(links[top], kind_top, codes), (links, parent, codes, top, radius)
 
 
 def _least_in_orbit(n: int, blocks, links, codes, root: int) -> list[int]:
@@ -237,11 +226,11 @@ def _gallai_trees(k: int, n_max: int) -> Iterator[tuple[Graph, tuple]]:
                     # isomorphic graphs, and the least of the orbit comes first
                     if least[v] == v and g.degree(v) + gain <= k - 1:
                         ring = (v, *range(n, m))
-                        code, links, codes, top = _glued_code(peel, blocks, kind, ring, ids)
+                        code, rest = _glued_code(peel, blocks, kind, ring, ids)
                         if code not in seen:
                             seen.add(code)
                             edges = peel[0] + _block_edges(kind, ring)
-                            peel_m = _grown_peel(peel, ring, links, codes, top, edges) if m < n_max else None
+                            peel_m = (edges, *rest) if m < n_max else None
                             order[m].append((Graph(m, edges), blocks + ((kind, ring),), peel_m))
 
 

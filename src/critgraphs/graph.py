@@ -101,9 +101,6 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(a.bit_count() for a in self._adj)
 
-    def adj_mask(self, v: int) -> int:
-        return self._adj[v]
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(_mask_bits(self._adj[v]))
 

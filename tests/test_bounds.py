@@ -172,6 +172,10 @@ def test_dirac_and_ky_formulas():
     k = 6
     slope = F(ky_bound(k, 1001) - ky_bound(k, 1), 1000)
     assert abs(2 * slope - ky_asymptotic(k)) < F(1, 100)
+    # the denominator 2(k - 1) is not positive below k = 2
+    for k in (-1, 0, 1):
+        with pytest.raises(PreconditionError):
+            ky_bound(k, 5)
 
 
 def test_g_family_values():

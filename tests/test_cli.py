@@ -367,6 +367,32 @@ def test_file_commands_print_one_document(tmp_path_factory, argv, k, u, data):
     assert json.loads(out)["command"] == argv[0]
 
 
+# random bytes almost never parse as graph6, so the byte fuzz above seldom
+# reaches a census row; these streams hold only records that parse
+_CENSUS_ARGV = [argv for argv in _FILE_ARGV if argv[0] == "census"]
+_GRAPH6_RECORDS = st.lists(
+    st.builds(_small_graph6, st.integers(0, 6), st.lists(st.booleans(), max_size=15)),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_CENSUS_ARGV), st.integers(-1, 6), _GRAPH6_RECORDS)
+def test_census_of_graph6_records_prints_one_document(tmp_path_factory, argv, k, records):
+    path = tmp_path_factory.getbasetemp() / "census-records"
+    path.write_text("".join(r + "\n" for r in records))
+    argv = [a.format(k=k, path=path) for a in argv]
+    code, out = _main_output(argv)
+    assert code in (0, 2)
+    doc = json.loads(out)
+    assert doc["command"] == "census"
+    rows = doc["verdicts"]["rows"].values()
+    assert sum(row["graphs"] for row in rows) == len(records)
+    # the edge bound divides by 2(k - 1)
+    assert all((row["ky_edges"] is None) == (k < 2) for row in rows)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -789,7 +789,20 @@ def test_at_expands_each_block_alone():
         got, calls = counted_is_f_AT(*PENDANT_TRIANGLE)
     assert got is not None and got[1:] == (1, 0)
     assert calls == 2
-    assert sizes and max(sizes) <= 2
+    # one expansion per block: the search that starts again from the root
+    # expands nothing again
+    assert len(sizes) == 18 and max(sizes) <= 2
+
+
+def test_at_restarts_when_the_first_block_fails_at_its_first_edge():
+    # a bowtie: the first leaf closes the directed triangle 0 -> 1 -> 2 -> 0
+    # at edge 2, the last edge of the first block
+    g = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (2, 4)])
+    f = [2, 2, 3, 3, 2]
+    got, calls = counted_is_f_AT(g, f)
+    assert got == memo_f_AT(g, f)
+    assert got == (((0, 1), (2, 0), (2, 1), (3, 2), (4, 2), (3, 4)), 1, 0)
+    assert calls <= 2
 
 
 BLOCK_SHAPES = [

@@ -426,36 +426,21 @@ def test_least_in_orbit_matches_vf2_up_to_nine_vertices(k):
 def test_glued_code_matches_reference_tree_code(k, monkeypatch):
     """On every candidate up to 10 vertices, the code, node codes and centre
     recoded along one path of the parent's peel equal the from-scratch
-    peel's, taken with the same `ids`; every kept tree's peel is the one
-    the reference finds (its links, each node's neighbour toward the centre
-    and the radius included), and its orbits read the same off either."""
+    peel's, taken with the same `ids`, and so does the rest of the peel it
+    returns (its links, each node's neighbour toward the centre and the
+    radius); every kept tree's orbits read the same off either peel, and
+    every tree's Graph is its block list glued up."""
     n_max = 10
-    glued, grown_peel, least_in_orbit = (
-        generators._glued_code, generators._grown_peel, generators._least_in_orbit)
+    glued, least_in_orbit = generators._glued_code, generators._least_in_orbit
     centres = set()
-    last = []
-    kept = []
-
-    def node_map(m, blocks):
-        # the reference's node i is the enumeration's node_map[i]
-        return list(range(m)) + [n_max + b for b in range(len(blocks))]
 
     def checking(peel, blocks, kind, ring, ids):
         m, grown = ring[-1] + 1, blocks + ((kind, ring),)
-        want, (_, want_codes, root) = reference_tree_code(m, grown, ids)
-        out = code, _, codes, top = glued(peel, blocks, kind, ring, ids)
-        node = node_map(m, grown)
-        assert (code, [codes[x] for x in node], node[root]) == (want, want_codes, top)
-        centres.add((len(peel[1]) == n_max, code[0]))
-        last[:] = [m, grown]
-        return out
-
-    def checking_peel(peel, ring, links, codes, top, edges):
-        out = grown_peel(peel, ring, links, codes, top, edges)
-        edges, links, parent, codes, centre, radius = out
-        m, grown = last
-        want_links = reference_tree_code(m, grown, {})[1][0]
-        node = node_map(m, grown)
+        want, (want_links, want_codes, root) = reference_tree_code(m, grown, ids)
+        out = code, (links, parent, codes, centre, radius) = glued(peel, blocks, kind, ring, ids)
+        # the reference's node i is the enumeration's node[i]
+        node = list(range(m)) + [n_max + b for b in range(len(grown))]
+        assert (code, [codes[x] for x in node], node[root]) == (want, want_codes, centre)
         assert [links[x] for x in node] == [tuple(node[y] for y in ys) for ys in want_links]
         # each node's neighbour toward the centre and the radius, by a walk
         # from the centre
@@ -468,11 +453,7 @@ def test_glued_code_matches_reference_tree_code(k, monkeypatch):
                     stack.append(y)
         assert radius == max(depth.values())
         assert [parent[x] for x in node] == [up[x] for x in node]
-        g = Graph(1)
-        for kind, ring in grown:
-            g = attach(g, kind, ring)
-        assert Graph(m, edges) == g
-        kept.append(m)
+        centres.add((len(peel[1]) == n_max, code[0]))
         return out
 
     def checking_least(n, blocks, links, codes, root):
@@ -481,11 +462,14 @@ def test_glued_code_matches_reference_tree_code(k, monkeypatch):
         return got
 
     monkeypatch.setattr(generators, "_glued_code", checking)
-    monkeypatch.setattr(generators, "_grown_peel", checking_peel)
     monkeypatch.setattr(generators, "_least_in_orbit", checking_least)
-    sizes = [g.n for g, _ in _gallai_trees(k, n_max)]
-    # every tree but K1 and those on n_max vertices got its peel from a parent
-    assert len(kept) == sum(n < n_max for n in sizes) - 1
+    sizes = []
+    for g, blocks in _gallai_trees(k, n_max):
+        rebuilt = Graph(1)
+        for kind, ring in blocks:
+            rebuilt = attach(rebuilt, kind, ring)
+        assert g == rebuilt
+        sizes.append(g.n)
     # the one-vertex start, whose centre moves to the first block, and every
     # kind of centre after it
     assert centres >= {(True, "clique"), (False, "vertex"), (False, "clique"), (False, "cycle")}
