@@ -74,6 +74,8 @@ def alpha(k: int) -> Fraction:
 
 def dirac_bound(k: int, n: int) -> int:
     """Lower bound on 2*edge count: (k-1)n + k-3."""
+    if k < 2:
+        raise PreconditionError(f"dirac_bound is negative below k=2, got k={k}")
     return (k - 1) * n + k - 3
 
 

@@ -37,48 +37,47 @@ def _check_f(g: Graph, f: FVector) -> tuple[int, ...]:
 # chromatic number
 
 
-def _colorable(g: Graph, k: int) -> bool:
-    """DSATUR backtracking with one vertex mask per colour in use."""
-    if k >= g.n:
-        return True
-    return _dsatur(g._adj, g.degrees(), [], k, (1 << g.n) - 1)
-
-
-def _dsatur(adj, deg: tuple[int, ...], classes: list[int], k: int, uncolored: int) -> bool:
-    """Whether the uncolored vertices extend the colour classes so far to a
-    proper colouring with at most k classes."""
-    if not uncolored:
-        return True
-    # max saturation, then max degree; the first such vertex
-    v, best_key = -1, (-1, -1)
-    for u in _mask_bits(uncolored):
-        key = (sum(1 for c in classes if c & adj[u]), deg[u])
-        if key > best_key:
-            v, best_key = u, key
-    bit = 1 << v
-    rest = uncolored & ~bit
-    for i, c in enumerate(classes):
-        if c & adj[v] == 0:
-            classes[i] = c | bit
-            if _dsatur(adj, deg, classes, k, rest):
-                return True
-            classes[i] = c
-    # trying more than one brand-new color is a symmetric repeat
-    if len(classes) < k:
-        classes.append(bit)
-        if _dsatur(adj, deg, classes, k, rest):
-            return True
-        classes.pop()
-    return False
+def _dsatur(adj, deg: tuple[int, ...], k: int) -> bool:
+    """DSATUR backtracking with one vertex mask per colour in use: whether
+    the graph has a proper colouring with at most k classes.  The coloured
+    vertices are kept on a list, not on the call stack."""
+    uncolored = (1 << len(adj)) - 1
+    classes: list[int] = []
+    placed: list[tuple[int, int]] = []  # per coloured vertex, it and its class
+    while uncolored:
+        # max saturation, then max degree; the first such vertex
+        v, best_key = -1, (-1, -1)
+        for u in _mask_bits(uncolored):
+            key = (sum(1 for c in classes if c & adj[u]), deg[u])
+            if key > best_key:
+                v, best_key = u, key
+        i = 0
+        while True:
+            while i < len(classes) and classes[i] & adj[v]:
+                i += 1
+            # trying more than one brand-new color is a symmetric repeat
+            if i == len(classes) < k:
+                classes.append(0)
+            if i < len(classes):
+                classes[i] |= 1 << v
+                break
+            if not placed:
+                return False
+            # v fits no class: take back the last vertex coloured, and try its next class
+            v, i = placed.pop()
+            classes[i] ^= 1 << v
+            if not classes[i]:
+                classes.pop()
+            uncolored |= 1 << v
+            i += 1
+        placed.append((v, i))
+        uncolored ^= 1 << v
+    return True
 
 
 def chromatic_number(g: Graph, max_vertices: int = CHI_MAX_VERTICES) -> int:
     if g.n > max_vertices:
         raise BudgetExceeded("chromatic_number limited to %d vertices" % max_vertices)
-    if g.n == 0:
-        return 0
-    if g.m == 0:
-        return 1
     # greedy clique gives the lower bound, greedy coloring the upper
     adj = g._adj
     clique = 0
@@ -93,7 +92,7 @@ def chromatic_number(g: Graph, max_vertices: int = CHI_MAX_VERTICES) -> int:
         else:
             classes.append(1 << v)
     for k in range(clique.bit_count(), len(classes)):
-        if _colorable(g, k):
+        if _dsatur(adj, g.degrees(), k):
             return k
     return len(classes)
 
@@ -180,18 +179,6 @@ def _maximal_independent(adj, mask: int) -> list[int]:
         avoid = adj[bit.bit_length() - 1]
         subs += [(s | bit, near | avoid) for s, near in subs if not s & avoid]
     return [s for s, near in subs if not mask & ~(s | near)]
-
-
-def _search_classes(adj, mask: int, f: tuple[int, ...], cands: dict, maximal: dict):
-    """Find a multiset of connected color classes of size >= 2, with each
-    vertex v in exactly f(v) of them, admitting no proper coloring.  Returns
-    the class list or None.  cands and maximal are _class_dfs's caches."""
-    r = [f[v] if mask >> v & 1 else 0 for v in range(len(adj))]
-    active = 0
-    for v in _mask_bits(mask):
-        if r[v] > 0:
-            active |= 1 << v
-    return _class_dfs(adj, mask, r, active, [0], [], -1, 0, cands, maximal)
 
 
 def _class_dfs(adj, mask, r, active, reached, classes, prev_pivot, prev_c, cands, maximal):
@@ -284,7 +271,10 @@ def _bad_assignment(g: Graph, f: tuple[int, ...], mask: int, memo: dict, cands: 
     if not _peel(g._adj, mask, f):
         return None
 
-    classes = _search_classes(g._adj, mask, f, cands, maximal)
+    # a multiset of connected color classes of size >= 2, with each vertex v
+    # in exactly f(v) of them, admitting no proper coloring
+    r = [f[v] if mask >> v & 1 else 0 for v in range(g.n)]
+    classes = _class_dfs(g._adj, mask, r, mask, [0], [], -1, 0, cands, maximal)
     if classes is not None:
         return {v: tuple(i for i, c in enumerate(classes) if c >> v & 1)
                 for v in _mask_bits(mask)}
@@ -552,6 +542,48 @@ def _block_polynomials(
     return [(idx, _capped_polynomial([edges[e] for e in idx], caps, shift)) for idx in members]
 
 
+def _first_leaf(branches, caps: list[int], weight: list[int], closing: list, failed: set[int]):
+    """Depth first over the edges in order, edge i oriented as branches[i][0]
+    first, each out-degree within caps.  A node is keyed by its out-vector,
+    weight[v] per arc out of v: a key in failed is skipped, and a node with no
+    leaf below joins failed.  An arc that ends a block (closing[i] is set) must
+    make the block's out-vector a term.  Returns the first leaf's arcs or None."""
+    m = len(branches)
+    out = [0] * len(caps)
+    arcs: list[tuple[int, int]] = []
+    i = key = j = 0  # the node at edge i, and its next branch to try
+    while True:
+        if j == 0:
+            if key in failed:
+                j = 2
+            elif i == m:
+                return arcs
+        if j < 2:
+            a, b = branches[i][j]
+            if out[a] < caps[a] and (
+                (c := closing[i]) is None
+                or weight[a] + sum(weight[arcs[e][0]] for e in c[0]) in c[1]
+            ):
+                out[a] += 1
+                arcs.append((a, b))
+                key += weight[a]
+                i += 1
+                j = 0
+            else:
+                j += 1
+            continue
+        # every branch below this node failed
+        failed.add(key)
+        if i == 0:
+            return None
+        i -= 1
+        a, _ = arcs.pop()
+        out[a] -= 1
+        key -= weight[a]
+        # resume at the branch after the one just left
+        j = 1 if a == branches[i][0][0] else 2
+
+
 def is_f_AT(g: Graph, f: FVector, max_edges: int = AT_MAX_EDGES) -> Optional[ATCertificate]:
     """Search for an orientation with d+(v) <= f(v)-1 and EE != EO.  Edges are
     branched in lexicographic order, so the returned certificate is the first
@@ -576,66 +608,33 @@ def is_f_AT(g: Graph, f: FVector, max_edges: int = AT_MAX_EDGES) -> Optional[ATC
         shift.append(width)
         width += c.bit_length()
     weight = [1 << s for s in shift]
+    branches = [((u, v), (v, u)) for u, v in edges]
+    closing: list = [None] * m  # closing[i]: the other edges and the terms of the block edge i ends
     failed: set[int] = set()
     # The first leaf goes through ee_eo: it is often acyclic and certifies,
-    # while an expansion can hold 2^m terms (a cycle with f = 3).  Once it
-    # fails, each block is expanded alone.  Every directed cycle lies in one
-    # block, so EE - EO is the product of the blocks' EE - EO (Alon-Tarsi): an
-    # orientation certifies iff each block's out-vector is a term of that
-    # block's expansion.  A block is judged as its last edge is oriented, so a
-    # leaf reached after the expansions certifies.  A one-edge block has both
-    # its terms whenever the caps allow the arc, so it is never judged.
-    closing: list = [None] * m  # closing[i]: the other edges and the terms of the block edge i ends
-    expanded = False
-    branches = [((u, v), (v, u)) for u, v in edges]
-    out = [0] * g.n
-    arcs: list[tuple[int, int]] = []
-    i = key = j = 0  # the node at edge i, and its next branch to try
-    while True:
-        if j == 0:
-            if key in failed:
-                j = 2
-            elif i == m:
-                cert = _certificate(g, arcs)
-                if expanded or cert.ee != cert.eo:
-                    return cert
-                blocks = _block_polynomials(g, edges, caps, shift)
-                if not all(terms for _, terms in blocks):
-                    return None
-                expanded = True
-                for idx, terms in blocks:
-                    if len(idx) > 1:
-                        closing[idx[-1]] = (idx[:-1], terms)
-                # search again from the root with every block judged; a
-                # failed state stays failed, as it depends on (i, out) only
-                out = [0] * g.n
-                arcs = []
-                i = key = 0
-                continue
-        if j < 2:
-            a, b = branches[i][j]
-            if out[a] < caps[a] and (
-                (c := closing[i]) is None
-                or weight[a] + sum(weight[arcs[e][0]] for e in c[0]) in c[1]
-            ):
-                out[a] += 1
-                arcs.append((a, b))
-                key += weight[a]
-                i += 1
-                j = 0
-            else:
-                j += 1
-            continue
-        # every branch below this node failed
-        failed.add(key)
-        if i == 0:
-            return None
-        i -= 1
-        a, _ = arcs.pop()
-        out[a] -= 1
-        key -= weight[a]
-        # resume at the branch after the one just left
-        j = 1 if a == edges[i][0] else 2
+    # while an expansion can hold 2^m terms (a cycle with f = 3).
+    arcs = _first_leaf(branches, caps, weight, closing, failed)
+    if arcs is None:
+        return None
+    cert = _certificate(g, arcs)
+    if cert.ee != cert.eo:
+        return cert
+    # Once it fails, each block is expanded alone.  Every directed cycle lies
+    # in one block, so EE - EO is the product of the blocks' EE - EO
+    # (Alon-Tarsi): an orientation certifies iff each block's out-vector is a
+    # term of that block's expansion.  A block is judged as its last edge is
+    # oriented, so a leaf of the second search certifies.  A one-edge block
+    # has both its terms whenever the caps allow the arc, so it is never
+    # judged.  The second search keeps failed, as a failed state depends on
+    # (i, out) only.
+    blocks = _block_polynomials(g, edges, caps, shift)
+    if not all(terms for _, terms in blocks):
+        return None
+    for idx, terms in blocks:
+        if len(idx) > 1:
+            closing[idx[-1]] = (idx[:-1], terms)
+    arcs = _first_leaf(branches, caps, weight, closing, failed)
+    return None if arcs is None else _certificate(g, arcs)
 
 
 def at_number(g: Graph, max_edges: int = AT_MAX_EDGES) -> int:

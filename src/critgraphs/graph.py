@@ -16,8 +16,6 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import GraphFormatError
 
-VertexSet = frozenset  # frozenset[int]
-
 
 def _mask_bits(mask: int) -> Iterator[int]:
     """The set bits of mask, lowest first."""
@@ -359,19 +357,29 @@ def _expand(adj, r: int, p: int, x: int, t: int = 0) -> Iterator[int]:
     """Bron-Kerbosch with pivoting: the maximal cliques, as masks, that
     contain r, lie inside r | p and meet no vertex of x.  A branch whose
     r | p has fewer than t vertices is cut, which drops only cliques smaller
-    than t and leaves the others in the same order."""
-    if (r | p).bit_count() < t:
-        return
-    if p == 0 and x == 0:
-        yield r
-        return
-    # pivot: vertex of p|x maximizing |p & adj|
-    pivot = max(_mask_bits(p | x), key=lambda u: (p & adj[u]).bit_count())
-    for v in _mask_bits(p & ~adj[pivot]):
-        bit = 1 << v
-        yield from _expand(adj, r | bit, p & adj[v], x & adj[v], t)
-        p &= ~bit
-        x |= bit
+    than t and leaves the others in the same order.  Open branches wait on
+    a stack, each with the candidates it has left to try, so a clique of
+    any size nests no frames."""
+    stack = []
+    while True:
+        if (r | p).bit_count() >= t:
+            if p == 0 and x == 0:
+                yield r
+            else:
+                # pivot: vertex of p|x maximizing |p & adj|
+                pivot = max(_mask_bits(p | x), key=lambda u: (p & adj[u]).bit_count())
+                todo = p & ~adj[pivot]
+                if todo:
+                    stack.append((r, p, x, todo))
+        if not stack:
+            return
+        # the next branch: the lowest candidate left in the deepest open branch
+        r, p, x, todo = stack.pop()
+        bit = todo & -todo
+        if todo != bit:
+            stack.append((r, p & ~bit, x | bit, todo ^ bit))
+        v = bit.bit_length() - 1
+        r, p, x = r | bit, p & adj[v], x & adj[v]
 
 
 def _clique_vertices(adj, mask: int, t: int) -> int:

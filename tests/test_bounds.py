@@ -172,10 +172,13 @@ def test_dirac_and_ky_formulas():
     k = 6
     slope = F(ky_bound(k, 1001) - ky_bound(k, 1), 1000)
     assert abs(2 * slope - ky_asymptotic(k)) < F(1, 100)
-    # the denominator 2(k - 1) is not positive below k = 2
+    # the denominator 2(k - 1) is not positive below k = 2, and the Dirac
+    # bound (k - 1)n + k - 3 is negative there
     for k in (-1, 0, 1):
         with pytest.raises(PreconditionError):
             ky_bound(k, 5)
+        with pytest.raises(PreconditionError):
+            dirac_bound(k, 5)
 
 
 def test_g_family_values():
@@ -273,7 +276,7 @@ def test_tree_bound_failures_search_cliques_once(monkeypatch):
 
     def counted(adj, r, p, x, t=0):
         nonlocal searches
-        searches += r == 0  # a recursive call always holds a vertex in r
+        searches += 1
         return expand(adj, r, p, x, t)
 
     monkeypatch.setattr(graph_module, "_expand", counted)

@@ -276,6 +276,35 @@ def test_stdin_error_offset_counts_from_the_first_byte():
     assert json.loads(proc.stdout)["error"] == "byte 0xe9 at byte offset 10007 of stdin is not ASCII"
 
 
+@pytest.mark.parametrize(
+    "argv,code,key,want",
+    [
+        (["analyze", "@{clique}", "--k", "5"], 0, "w_vertices", list(range(150))),
+        (["reduce-check", "@{clique}", "--k", "5", "--x", "0"], 1, "status", "hypotheses failed"),
+        (["chi", "@{cycle}", "--max-vertices", "151"], 0, "chromatic_number", 3),
+    ],
+    ids=["analyze K150", "reduce-check K150", "chi C151"],
+)
+def test_deep_searches_nest_no_frame_per_vertex(tmp_path, argv, code, key, want):
+    """Bron-Kerbosch on K150 and DSATUR on C151 each print one document under
+    a recursion limit of 100, so neither takes a frame per clique or coloured
+    vertex (a search that did would fail on K1005 and C1501 at the default
+    limit too)."""
+    src = str(Path(critgraphs.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    clique, cycle = tmp_path / "k150.g6", tmp_path / "c151.txt"
+    clique.write_text(g6(Graph.complete(150)) + "\n")
+    cycle.write_text(write_edge_list(Graph.cycle(151)))
+    script = "import sys\nfrom critgraphs.cli import main\nsys.setrecursionlimit(100)\nsys.exit(main(sys.argv[1:]))\n"
+    argv = [a.format(clique=clique, cycle=cycle) for a in argv]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, env=env, timeout=120)
+    assert proc.stderr == b""
+    doc = json.loads(proc.stdout)
+    assert proc.returncode == code and doc["command"] == argv[0]
+    assert doc["verdicts"][key] == want
+
+
 def _main_output(argv):
     """Exit code and stdout of main(argv), with an empty stdin."""
     out = io.StringIO()
@@ -389,8 +418,9 @@ def test_census_of_graph6_records_prints_one_document(tmp_path_factory, argv, k,
     assert doc["command"] == "census"
     rows = doc["verdicts"]["rows"].values()
     assert sum(row["graphs"] for row in rows) == len(records)
-    # the edge bound divides by 2(k - 1)
+    # the edge bound divides by 2(k - 1), and the Dirac bound is negative below k = 2
     assert all((row["ky_edges"] is None) == (k < 2) for row in rows)
+    assert all((row["dirac_2m"] is None) == (k < 2) for row in rows)
 
 
 @pytest.mark.parametrize(

@@ -805,6 +805,31 @@ def test_at_restarts_when_the_first_block_fails_at_its_first_edge():
     assert calls <= 2
 
 
+def test_at_second_search_starts_from_the_first_searchs_failures():
+    # the first search records 6 failed states before its leaf fails ee_eo;
+    # the second, with every block judged, keeps them and adds 2
+    g = Graph(6, [(0, 2), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4), (4, 5)])
+    f = [1, 3, 4, 4, 2, 2]
+    searches = []
+    first_leaf = coloring._first_leaf
+
+    def recording(branches, caps, weight, closing, failed):
+        start = set(failed)
+        arcs = first_leaf(branches, caps, weight, closing, failed)
+        searches.append((failed, start, set(failed)))
+        return arcs
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coloring, "_first_leaf", recording)
+        got, calls = counted_is_f_AT(g, f)
+    assert got is not None and got == memo_f_AT(g, f)
+    assert calls == 2
+    (first, start1, end1), (second, start2, end2) = searches
+    assert second is first
+    assert start1 == set() and start2 == end1 < end2
+    assert (len(end1), len(end2)) == (6, 8)
+
+
 BLOCK_SHAPES = [
     Graph.complete(3),
     Graph.complete(4),

@@ -386,6 +386,41 @@ def test_contains_clique_matches_networkx():
                 assert witness is None
 
 
+def recursive_expand(adj, r, p, x, t=0):
+    """Bron-Kerbosch with pivoting and the size cut, recursing with one
+    generator frame per clique vertex: the reference for _expand's stack."""
+    if (r | p).bit_count() < t:
+        return
+    if p == 0 and x == 0:
+        yield r
+        return
+    pivot = max(_mask_bits(p | x), key=lambda u: (p & adj[u]).bit_count())
+    for v in _mask_bits(p & ~adj[pivot]):
+        bit = 1 << v
+        yield from recursive_expand(adj, r | bit, p & adj[v], x & adj[v], t)
+        p &= ~bit
+        x |= bit
+
+
+def test_clique_stack_yields_the_recursive_order():
+    """The same masks in the same order, so contains_clique's witness and
+    every W set stay as they were: on the atlas with every cut size, and on
+    random graphs from a vertex with part of its neighbours excluded."""
+    for h in nx.graph_atlas_g():
+        g = nx_to_graph(h)
+        full = (1 << g.n) - 1
+        for t in range(g.n + 2):
+            assert list(_expand(g._adj, 0, full, 0, t)) == list(recursive_expand(g._adj, 0, full, 0, t))
+    rng = Random(5)
+    for _ in range(200):
+        n = rng.randint(8, 14)
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.6])
+        v = rng.randrange(n)
+        p = g._adj[v] & rng.getrandbits(n)
+        x = g._adj[v] & ~p & rng.getrandbits(n)
+        assert list(_expand(g._adj, 1 << v, p, x, 4)) == list(recursive_expand(g._adj, 1 << v, p, x, 4))
+
+
 def unpruned_clique_answers(g, t):
     """contains_clique and clique_vertices read off every maximal clique."""
     big = [c for c in _expand(g._adj, 0, (1 << g.n) - 1, 0) if c.bit_count() >= t]
