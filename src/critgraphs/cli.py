@@ -690,9 +690,35 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_json_str = json.encoder.encode_basestring_ascii
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json(x, pad: str = "\n") -> str:
+    """json.dumps(x, indent=2, sort_keys=True) for documents whose dicts have
+    string keys, byte for byte, with pad the newline and indent x sits at.
+    The standard library runs its pure-Python encoder whenever it indents,
+    and that encoder's closures leave reference cycles for every document."""
+    if isinstance(x, str):
+        return _json_str(x)
+    if x is None or x is True or x is False:
+        return _JSON_CONSTANTS[x]
+    if isinstance(x, int):
+        return int.__repr__(x)
+    inner = pad + "  "
+    if isinstance(x, dict) and x:
+        items = [_json_str(k) + ": " + _json(v, inner) for k, v in sorted(x.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(x, (list, tuple)) and x:
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in x]) + pad + "]"
+    # floats (NaN and the infinities too) and empty containers read the same
+    # at any indent, and json.dumps refuses what JSON cannot hold
+    return json.dumps(x)
+
+
 def _emit(doc) -> None:
     try:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_json(doc))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout (as `| head -1` does); the exit code still

@@ -9,7 +9,7 @@ from itertools import accumulate
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, PreconditionError
-from .graph import Graph, _component_masks, _independent_subsets, _mask_bits
+from .graph import Graph, _component_masks, _edge_classes, _independent_subsets, _mask_bits
 from .structure import _blocks
 
 FVector = Sequence[int]
@@ -662,6 +662,10 @@ def at_number(g: Graph, max_edges: int = AT_MAX_EDGES) -> int:
 # orient u's edges into u, so no Eulerian subdigraph uses them.  So X(g) <=
 # X(g - u) + 1 <= X(g - e) + 1 for an edge e = uv, and "not (k-1)-X while
 # every g - e is" says the same as "X(g) = k while every X(g - e) < k".
+# An automorphism of g that maps e onto e' makes g - e and g - e'
+# isomorphic, and each X is an isomorphism invariant, so one g - e per edge
+# orbit decides.  Every g - e has the n and m of any other, so each budget
+# check sees the sizes it saw when every edge was decided.
 
 
 def _k_critical(g: Graph, k: int, colorable) -> bool:
@@ -669,7 +673,9 @@ def _k_critical(g: Graph, k: int, colorable) -> bool:
     subgraph h, so no vertex is isolated; colorable(h, j) means h is j-X."""
     if g.n == 0 or k < 1 or colorable(g, k - 1) or (g.n > 1 and 0 in g.degrees()):
         return False
-    return all(colorable(g.remove_edge(u, v), k - 1) for u, v in g.edges())
+    edges = list(g.edges())
+    return all(colorable(g.remove_edge(*edges[j]), k - 1)
+               for j, first in enumerate(_edge_classes(g)) if first == j)
 
 
 def is_k_critical(g: Graph, k: int, max_vertices: int = CHI_MAX_VERTICES) -> bool:

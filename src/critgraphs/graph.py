@@ -405,86 +405,176 @@ def clique_vertices(g: Graph, t: int) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism (exact backtracking; desk scale)
+# isomorphism and edge orbits (exact backtracking; desk scale)
 
 
-def _refine_colors(g: Graph) -> list[int]:
-    colors = list(g.degrees())
-    for _ in range(g.n):
-        sig = [
-            (colors[v], tuple(sorted(colors[u] for u in g.neighbors(v))))
-            for v in range(g.n)
-        ]
-        canon = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [canon[s] for s in sig]
-        if new == colors:
+def _refine_colors(nbrs, colors: list[int]) -> tuple[list[int], tuple]:
+    """Colour refinement from colors, on the graph whose vertex v has the
+    neighbours nbrs[v]: each round gives every vertex the rank of its colour
+    and its neighbours' sorted colours, until a round splits no class.
+    Every step is canonical, so a map that keeps adjacency and the starting
+    colours keeps the final ones, and then the two graphs also end with the
+    same invariant, the second item: the last round's signatures and the
+    class sizes."""
+    classes = len(set(colors))
+    ranked: list = []
+    for _ in range(len(nbrs)):
+        sig = [(c, tuple(sorted([colors[u] for u in nb]))) for c, nb in zip(colors, nbrs)]
+        ranked = sorted(set(sig))
+        rank = {s: i for i, s in enumerate(ranked)}
+        colors = [rank[s] for s in sig]
+        if len(ranked) == classes:
             break
-        colors = new
-    return colors
+        classes = len(ranked)
+    return colors, (tuple(ranked), tuple(sorted(colors)))
+
+
+def _search_order(adj, colors: list[int], first: tuple[int, ...] = ()) -> list[int]:
+    """The order the mapping search places vertices in: first, then at each
+    step the vertex with the most neighbours placed, then of the rarest
+    colour, then the least colour and label."""
+    freq: dict[int, int] = {}
+    for c in colors:
+        freq[c] = freq.get(c, 0) + 1
+    order = list(first)
+    placed = _vertex_mask(first)
+    rest = [v for v in range(len(adj)) if not placed >> v & 1]
+    while rest:
+        v = min(rest, key=lambda u: (-(adj[u] & placed).bit_count(), freq[colors[u]], colors[u], u))
+        rest.remove(v)
+        order.append(v)
+        placed |= 1 << v
+    return order
+
+
+def _find_map(adj_a, adj_b, order: list[int], allowed: list[int]) -> Optional[list[int]]:
+    """A bijection phi from a's vertices onto b's taking order[i] into the
+    vertex mask allowed[i], with u, v adjacent in a exactly when phi[u],
+    phi[v] are adjacent in b; or None.  Vertices are placed in order, each
+    on a vertex of b adjacent to exactly the images of its placed
+    neighbours; every open position keeps its untried vertices on a stack,
+    so the search nests no frame per vertex."""
+    n = len(order)
+    if n == 0:
+        return []
+    back = []  # per position, the neighbours placed before it
+    placed = 0
+    for v in order:
+        back.append(tuple(_mask_bits(adj_a[v] & placed)))
+        placed |= 1 << v
+    phi = [0] * n
+    stack: list[int] = []
+    i = used = want = 0
+    cands = allowed[0]
+    while True:
+        if cands:
+            bit = cands & -cands
+            cands ^= bit
+            w = bit.bit_length() - 1
+            if adj_b[w] & used != want:
+                continue
+            phi[order[i]] = w
+            stack.append(cands)
+            used |= bit
+            i += 1
+            if i == n:
+                return phi
+            cands = allowed[i] & ~used
+        elif stack:
+            # position i has nothing left: take back position i - 1's vertex
+            cands = stack.pop()
+            i -= 1
+            used ^= 1 << phi[order[i]]
+        else:
+            return None
+        want = 0  # the images of position i's placed neighbours
+        for u in back[i]:
+            want |= 1 << phi[u]
+
+
+def _color_masks(colors: list[int]) -> dict[int, int]:
+    """Each colour's vertices, as a mask."""
+    masks: dict[int, int] = {}
+    for v, c in enumerate(colors):
+        masks[c] = masks.get(c, 0) | 1 << v
+    return masks
 
 
 def are_isomorphic(a: Graph, b: Graph) -> bool:
-    if a.n != b.n or a.m != b.m:
+    if a.n != b.n or a.m != b.m or sorted(a.degrees()) != sorted(b.degrees()):
         return False
-    if sorted(a.degrees()) != sorted(b.degrees()):
+    ca, inv_a = _refine_colors([a.neighbors(v) for v in range(a.n)], list(a.degrees()))
+    cb, inv_b = _refine_colors([b.neighbors(v) for v in range(b.n)], list(b.degrees()))
+    if inv_a != inv_b:
         return False
-    ca, cb = _refine_colors(a), _refine_colors(b)
-    if sorted(ca) != sorted(cb):
-        return False
-    n = a.n
-    # order a's vertices: rarest color class first, then prefer attachment to mapped part
-    freq: dict[int, int] = {}
-    for c in ca:
-        freq[c] = freq.get(c, 0) + 1
-    order: list[int] = []
-    placed = set()
-    while len(order) < n:
-        cands = [v for v in range(n) if v not in placed]
-        cands.sort(
-            key=lambda v: (
-                -sum(1 for u in a.neighbors(v) if u in placed),
-                freq[ca[v]],
-                ca[v],
-                v,
-            )
-        )
-        order.append(cands[0])
-        placed.add(cands[0])
+    order = _search_order(a._adj, ca)
+    masks = _color_masks(cb)
+    return _find_map(a._adj, b._adj, order, [masks[ca[v]] for v in order]) is not None
 
-    by_color: dict[int, list[int]] = {}
-    for v in range(n):
-        by_color.setdefault(cb[v], []).append(v)
 
-    mapping = [-1] * n
-    used = [False] * n
+def _root(parent: list[int], x: int) -> int:
+    """x's class in the union-find forest parent, halving the path walked."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
-    def match(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in by_color.get(ca[v], ()):
-            if used[w]:
-                continue
-            ok = True
-            for u in a.neighbors(v):
-                mu = mapping[u]
-                if mu >= 0 and not b.has_edge(mu, w):
-                    ok = False
+
+def _edge_classes(g: Graph) -> Iterator[int]:
+    """For each edge of g, in g.edges() order, the index in that order of
+    the first edge of its orbit under the automorphisms of g, which may map
+    an edge either way round.  Nothing is computed for the later edges until
+    the second is asked for.  An edge is compared only with the first edges
+    before it whose ends have the same refined colours: through the orbits
+    of the automorphisms found so far, then by the colour refinement with
+    each edge's ends picked out, which must end the same and gives the
+    search its classes, and last by the mapping search pinned at the ends."""
+    adj = g._adj
+    edges = list(g.edges())
+    if not edges:
+        return
+    yield 0
+    nbrs = [g.neighbors(v) for v in range(g.n)]
+    colors, _ = _refine_colors(nbrs, [len(nb) for nb in nbrs])
+    index = {e: i for i, e in enumerate(edges)}
+    parent = list(range(len(edges)))  # the orbits of the automorphisms found
+    firsts: dict[tuple[int, int], list[int]] = {}  # the first edges, by their ends' colours
+    pinned: dict[int, tuple] = {}  # an edge's refinement with its ends picked out
+    orders: dict[int, list[int]] = {}  # a first edge's search order
+    for j, (c, d) in enumerate(edges):
+        same = firsts.setdefault((min(colors[c], colors[d]), max(colors[c], colors[d])), [])
+        root = _root(parent, j)
+        rep = next((r for r in same if _root(parent, r) == root), None)
+        if rep is None and same:
+            cj, inv = pinned[j] = _pin(nbrs, colors, c, d)
+            masks = _color_masks(cj)
+            for r in same:
+                if r not in pinned:
+                    pinned[r] = _pin(nbrs, colors, *edges[r])
+                cr, inv_r = pinned[r]
+                if inv_r != inv:
+                    continue
+                order = orders.get(r)
+                if order is None:
+                    order = orders[r] = _search_order(adj, cr, edges[r])
+                rest = [masks[cr[v]] for v in order[2:]]
+                phi = (_find_map(adj, adj, order, [1 << c, 1 << d] + rest)
+                       or _find_map(adj, adj, order, [1 << d, 1 << c] + rest))
+                if phi is not None:
+                    for x, (u, v) in enumerate(edges):
+                        image = (phi[u], phi[v]) if phi[u] < phi[v] else (phi[v], phi[u])
+                        parent[_root(parent, x)] = _root(parent, index[image])
+                    rep = r
                     break
-            if ok:
-                # non-edges must also map to non-edges
-                for u in range(n):
-                    mu = mapping[u]
-                    if mu >= 0 and not a.has_edge(u, v) and b.has_edge(mu, w):
-                        ok = False
-                        break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if match(i + 1):
-                    return True
-                mapping[v] = -1
-                used[w] = False
-        return False
+        if rep is None:
+            same.append(j)
+            rep = j
+        if j:  # edge 0 went out before the colours were computed
+            yield rep
 
-    return match(0)
+
+def _pin(nbrs, colors: list[int], u: int, v: int) -> tuple[list[int], tuple]:
+    """The refinement of colors once u and v get colours of their own."""
+    start = list(colors)
+    start[u] += len(nbrs)
+    start[v] += len(nbrs)
+    return _refine_colors(nbrs, start)

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, JSON shape, input forms, determinism."""
 
+import gc
 import io
 import json
 import os
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 import critgraphs
 from conftest import build_charge_instance, stalled_aux_instance
 from critgraphs import Graph, extremal_chain, parse_graph6, write_edge_list, write_graph6
-from critgraphs.cli import _build_parser, main
+from critgraphs.cli import _build_parser, _json, main
 from critgraphs.coloring import CHOOSE_MAX_VERTICES
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -950,3 +951,33 @@ def test_installed_console_script():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["verdicts"]["rows"]["7"]["here"]["exact"] == "924/151"
+
+
+# the JSON writer
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_VALUES)
+def test_json_writer_matches_json_dumps(doc):
+    """Nested dicts, lists and tuples of str (escapes and non-ASCII included),
+    int, bool, None and float (NaN and the infinities included)."""
+    assert _json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_main_leaves_no_cyclic_garbage(capsys):
+    argv = ["critical", g6(Graph.wheel(5)), "--k", "4", "--notion", "at"]
+    assert main(argv) == 0  # builds the parser every later call shares
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert capsys.readouterr().out.count('"critical": true') == 2

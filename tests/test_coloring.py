@@ -6,6 +6,7 @@ from itertools import combinations, product
 
 import networkx as nx
 import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,8 +30,9 @@ from critgraphs import (
     is_k_paint_critical,
 )
 import critgraphs.coloring as coloring
+import critgraphs.graph as graph
 from critgraphs.coloring import PAINT_MAX_VERTICES, ee_eo_poly
-from critgraphs.graph import _component_masks, _independent_subsets, _mask_bits
+from critgraphs.graph import _component_masks, _edge_classes, _independent_subsets, _mask_bits
 
 
 def chi_oracle(g):
@@ -991,7 +993,7 @@ def _no_isolated(g):
     return g.n == 1 or all(g.degree(v) > 0 for v in range(g.n))
 
 
-def reference_k_critical(g, k):
+def number_rule_k_critical(g, k):
     """The number rule: chi(g) = k and chi(g - e) < k for every edge e."""
     if g.n == 0 or chromatic_number(g) != k or not _no_isolated(g):
         return False
@@ -1009,7 +1011,7 @@ def test_critical_matches_number_rule():
     hits = 0
     for g in connected_atlas(7):
         for k in range(1, 7):
-            want = reference_k_critical(g, k)
+            want = number_rule_k_critical(g, k)
             assert is_k_critical(g, k) == want, (g, k)
             hits += want
     assert hits > 0
@@ -1054,3 +1056,128 @@ def test_criticality_budgets():
     # no graph is k-critical for k < 1, so no budget is consulted
     assert not is_k_critical(Graph.complete(17), 0)
     assert not is_k_AT_critical(Graph.complete(7), 0)
+
+
+# one g - e per edge orbit
+
+NOTIONS = {
+    "chromatic": (is_k_critical, lambda h, j: chromatic_number(h) <= j, (3, 4, 5)),
+    "list": (is_k_list_critical, lambda h, j: is_f_choosable(h, [j] * h.n)[0], (3, 4)),
+    "online": (is_k_paint_critical, lambda h, j: is_f_paintable(h, [j] * h.n), (3, 4)),
+    "at": (is_k_AT_critical, lambda h, j: is_f_AT(h, [j] * h.n) is not None, (3, 4, 5)),
+}
+
+
+def reference_k_critical(g, k, colorable):
+    """The definition with every g - e decided: not colorable(g, k - 1), no
+    isolated vertex, and colorable(g - e, k - 1) for each edge e."""
+    if g.n == 0 or k < 1 or colorable(g, k - 1) or (g.n > 1 and 0 in g.degrees()):
+        return False
+    return all(colorable(g.remove_edge(u, v), k - 1) for u, v in g.edges())
+
+
+def verdict(decide, *args):
+    try:
+        return decide(*args)
+    except BudgetExceeded as e:
+        return type(e)
+
+
+def test_criticality_matches_the_per_edge_loop_on_the_atlas():
+    """Every atlas graph, for all four notions: the same verdict, or the
+    same exception class, as deciding every g - e."""
+    decisions = hits = 0
+    for g in atlas_graphs(7):
+        for decide, colorable, ks in NOTIONS.values():
+            for k in ks:
+                got = verdict(decide, g, k)
+                assert got == verdict(reference_k_critical, g, k, colorable), (decide.__name__, g, k)
+                decisions += 1
+                hits += got is True
+    assert decisions == 12520
+    assert hits > 0
+
+
+def vf2_first_of_orbit(g):
+    """Per edge, the least edge index in its orbit, from every automorphism
+    networkx's VF2 lists."""
+    edges = list(g.edges())
+    h = nx.Graph(edges)
+    h.add_nodes_from(range(g.n))
+    orbit = {e: {e} for e in edges}
+    for phi in GraphMatcher(h, h).isomorphisms_iter():
+        for u, v in edges:
+            orbit[u, v].add(tuple(sorted((phi[u], phi[v]))))
+    return [min(edges.index(x) for x in orbit[e]) for e in edges]
+
+
+def test_edge_classes_are_the_edge_orbits_on_the_atlas():
+    checked = 0
+    for g in atlas_graphs(7):
+        if g.m:
+            assert list(_edge_classes(g)) == vf2_first_of_orbit(g), g
+            checked += 1
+    assert checked == 1245
+
+
+def paley(q):
+    squares = {x * x % q for x in range(1, q)}
+    return Graph(q, [(a, b) for a, b in combinations(range(q), 2) if (b - a) % q in squares])
+
+
+@pytest.mark.parametrize(
+    "g,classes",
+    [
+        (nx_to_graph(nx.petersen_graph()), 1),
+        (nx_to_graph(nx.hypercube_graph(4)), 1),
+        (nx_to_graph(nx.complete_bipartite_graph(8, 8)), 1),
+        (nx_to_graph(nx.dodecahedral_graph()), 1),
+        (paley(13), 1),
+        (Graph.wheel(9), 2),
+        (nx_to_graph(nx.random_regular_graph(6, 16, seed=6)), 48),
+    ],
+    ids=["Petersen", "Q4", "K8,8", "dodecahedron", "Paley 13", "W9", "random 6-regular on 16"],
+)
+def test_edge_classes_of_named_graphs(g, classes):
+    assert len(set(_edge_classes(g))) == classes
+
+
+def test_criticality_refines_nothing_when_the_first_g_minus_e_fails(monkeypatch):
+    """K4 with a pendant edge, first in edge order: deleting it leaves K4
+    and an isolated vertex, which is not 3-X for any notion, so no colour
+    refinement runs."""
+    monkeypatch.setattr(graph, "_refine_colors", None)
+    g = Graph(5, [(0, 1)] + list(combinations(range(1, 5), 2)))
+    assert next(_edge_classes(g)) == 0
+    for decide, _, _ in NOTIONS.values():
+        assert not decide(g, 4)
+
+
+def count_f_AT(g, k):
+    calls = []
+
+    def counting(h, f, *args):
+        calls.append(h)
+        return is_f_AT(h, f, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coloring, "is_f_AT", counting)
+        assert is_k_AT_critical(g, k)
+    return len(calls)
+
+
+def test_at_criticality_decides_one_g_minus_e_per_edge_orbit():
+    # W9 itself, a rim edge and a spoke; 19 when every edge is decided
+    assert count_f_AT(Graph.wheel(9), 4) == 3
+    # K5 and one K5 - e; 11 when every edge is decided
+    assert count_f_AT(Graph.complete(5), 5) == 2
+
+
+def test_at_criticality_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        assert is_k_AT_critical(Graph.wheel(9), 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

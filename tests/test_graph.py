@@ -471,3 +471,12 @@ def test_isomorphism_counts_atlas_classes():
     small = [g for g in connected_atlas(5) if g.n == 5]
     for a, b in combinations(small, 2):
         assert not are_isomorphic(a, b)
+
+
+def test_isomorphic_on_a_path_longer_than_the_recursion_limit():
+    """The mapping search keeps its open positions on a stack, so a path of
+    1,200 vertices nests no call frame per vertex."""
+    perm = list(range(1200))
+    Random(3).shuffle(perm)
+    p = Graph.path(1200)
+    assert are_isomorphic(p, Graph(1200, [(perm[u], perm[v]) for u, v in p.edges()]))
