@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -399,12 +400,12 @@ def _cmd_critical(args):
 
 
 def _ledger_verdicts(g, ledger, target):
-    margins = {str(v): _rat(ledger.final[v] - target) for v in range(g.n)}
-    min_margin = min((ledger.final[v] - target for v in range(g.n)), default=None)
+    margins = [ledger.final[v] - target for v in range(g.n)]
+    min_margin = min(margins, default=None)
     return {
         "initial": {str(v): _rat(ledger.initial[v]) for v in range(g.n)},
         "final": {str(v): _rat(ledger.final[v]) for v in range(g.n)},
-        "margins": margins,
+        "margins": {str(v): _rat(m) for v, m in enumerate(margins)},
         "min_margin": _rat(min_margin) if min_margin is not None else None,
         "meets_target": min_margin is not None and min_margin >= 0,
         "conserved": ledger.conserved,
@@ -467,16 +468,9 @@ def _cmd_discharge(args):
         comp = share.vertices
         try:
             a = tree_charge_audit(g, comp, params, ledger)
-            audits.append(
-                {
-                    "component": comp,
-                    "A": a.A,
-                    "q": a.q,
-                    "received": _rat(a.received),
-                    "floor": _rat(a.floor),
-                    "has_full_clique": a.has_full_clique,
-                }
-            )
+            # A, q and has_full_clique go out under their field names
+            rats = {"received": _rat(a.received), "floor": _rat(a.floor)}
+            audits.append({**asdict(a), **rats, "component": comp})
         except AssertionError as e:
             audit_failures.append({"component": comp, "error": str(e)})
     verdicts["audits"] = audits

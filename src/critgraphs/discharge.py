@@ -5,20 +5,35 @@ behind the sharper bounds (rules R1, R2, R3ai, R3bi, R4-share), and the
 two-rule redistribution behind the k-1 + (k-3)/(k^2-3) average-degree bound
 (rules G1, G2), which is R1 and R4 with W empty.
 Every transfer is recorded, so a ledger can be replayed and audited after
-the fact.  All arithmetic is fractions.Fraction; nothing is ever rounded.
+the fact.  Charges are summed in integer units of 1/D, D the lcm of the
+denominators in play: nothing is rounded, and every value exposed is a Fraction.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Union
 
 # make_params is re-exported: it lives with the bounds it produces
 from .bounds import DischargeParams, _epsilon, g_family, make_params, preset_params
 from .errors import EliminationFailed, PreconditionError
 from .graph import Graph, _clique_vertices, _mask_bits, _vertex_mask
-from .structure import REGIMES, _in_t_k, _w_q, build_auxiliary, eliminate, low_high_split
+from .structure import REGIMES, _in_t_k, _tree_cuts, build_auxiliary, eliminate, low_high_split
 
 Node = Union[int, str]
+
+
+def _in_units(values) -> tuple[list[int], int]:
+    """values (ints or Fractions) as integer counts of 1/unit, unit the lcm of the denominators."""
+    ratios = [x.as_integer_ratio() for x in values]
+    unit = lcm(*{d for _, d in ratios})
+    return [n * (unit // d) for n, d in ratios], unit
+
+
+def _exact_sum(values) -> Fraction:
+    """The sum of values as a Fraction, with one gcd instead of one per term."""
+    counts, unit = _in_units(values)
+    return Fraction(sum(counts), unit)
 
 
 @dataclass(frozen=True)
@@ -39,30 +54,31 @@ class ChargeLedger:
 
     @property
     def conserved(self) -> bool:
-        return sum(self.initial) == sum(self.final)
+        return _exact_sum(self.initial) == _exact_sum(self.final)
 
     def replay(self) -> tuple[Fraction, ...]:
-        """Recompute final charges from initial + transfers.  Pool pseudo-nodes
-        (string ids used by the sharing rules) must net to zero."""
-        charge: dict[Node, Fraction] = {v: self.initial[v] for v in range(self.n)}
-        for _, src, dst, amount in self.transfers:
-            charge[src] = charge.get(src, Fraction(0)) - amount
-            charge[dst] = charge.get(dst, Fraction(0)) + amount
-        for node, value in charge.items():
-            if isinstance(node, str) and value != 0:
-                raise AssertionError("pool %r nets %s, expected 0" % (node, value))
-        return tuple(charge[v] for v in range(self.n))
+        """Recompute final charges from initial + transfers, in integer units.
+        Pool pseudo-nodes (string ids used by the sharing rules) must net to zero."""
+        n = self.n
+        counts, unit = _in_units([self.initial[v] for v in range(n)] + [t[3] for t in self.transfers])
+        charge: dict[Node, int] = dict(enumerate(counts[:n]))
+        for (_, src, dst, _), amount in zip(self.transfers, counts[n:]):
+            charge[src] = charge.get(src, 0) - amount
+            charge[dst] = charge.get(dst, 0) + amount
+        for node, net in charge.items():
+            if isinstance(node, str) and net:
+                residue = Fraction(net, unit)
+                raise AssertionError("pool %r nets %s, expected 0" % (node, residue))
+        return tuple(Fraction(charge[v], unit) for v in range(n))
 
     def outflow(self, v: Node, rules: Optional[set] = None) -> Fraction:
-        return sum(
-            (a for r, s, _, a in self.transfers if s == v and (rules is None or r in rules)),
-            Fraction(0),
+        return _exact_sum(
+            a for r, s, _, a in self.transfers if s == v and (rules is None or r in rules)
         )
 
     def inflow(self, v: Node, rules: Optional[set] = None) -> Fraction:
-        return sum(
-            (a for r, _, d, a in self.transfers if d == v and (rules is None or r in rules)),
-            Fraction(0),
+        return _exact_sum(
+            a for r, _, d, a in self.transfers if d == v and (rules is None or r in rules)
         )
 
 
@@ -102,50 +118,47 @@ def _discharge(
     low = _vertex_mask(v for v in range(g.n) if deg[v] == k - 1) & ~in_w
     highs = _vertex_mask(v for v in range(g.n) if deg[v] == k)
     trees = (1 << len(w_masks)) - 1
-    charge = [Fraction(d) for d in deg]
     transfers: list = []
-
-    def send(rule: str, src: int, dst: int, amount: Fraction):
-        transfers.append((rule, src, dst, amount))
-        charge[src] -= amount
-        charge[dst] += amount
 
     for v in range(g.n):
         if deg[v] >= k:
-            for u in _mask_bits(adj[v] & low):
-                send(rule1, v, u, eps)
+            transfers += [(rule1, v, u, eps) for u in _mask_bits(adj[v] & low)]
         if deg[v] >= k + 1:
-            for u in _mask_bits(adj[v] & in_w):
-                send("R2", v, u, gam)
+            transfers += [("R2", v, u, gam) for u in _mask_bits(adj[v] & in_w)]
 
     for kind, ident in order:
         if kind == "tree":
             for v in _mask_bits(highs):
                 seen = adj[v] & w_masks[ident]
                 if seen.bit_count() == 2:
-                    send("R3ai", v, (seen & -seen).bit_length() - 1, gam)
+                    transfers.append(("R3ai", v, (seen & -seen).bit_length() - 1, gam))
             trees &= ~(1 << ident)
         else:
             for i in _mask_bits(trees):
-                for x in _mask_bits(adj[ident] & w_masks[i]):
-                    send("R3bi", ident, x, gam)
+                transfers += [("R3bi", ident, x, gam) for x in _mask_bits(adj[ident] & w_masks[i])]
             highs &= ~(1 << ident)
 
+    # the charges after rules 1-3, in integer units of 1/unit
+    (e, c), unit = _in_units((eps, gam))
+    step = {"R2": c, "R3ai": c, "R3bi": c, rule1: e}
+    charge = [d * unit for d in deg]
+    for rule, src, dst, _ in transfers:
+        charge[src] -= step[rule]
+        charge[dst] += step[rule]
+    final = [Fraction(x, unit) for x in charge]
     shares = []
     for i, comp in enumerate(components):
         members = sorted(comp)
-        total = sum((charge[v] for v in members), Fraction(0))
-        share = total / len(members)
+        units = sum(charge[v] for v in members)
+        total, share = Fraction(units, unit), Fraction(units, unit * len(members))
         pool = "share:%d" % i
+        transfers += [(share_rule, v, pool, final[v]) for v in members]
+        transfers += [(share_rule, pool, v, share) for v in members]
         for v in members:
-            transfers.append((share_rule, v, pool, charge[v]))
-            charge[v] = Fraction(0)
-        for v in members:
-            transfers.append((share_rule, pool, v, share))
-            charge[v] = share
+            final[v] = share
         shares.append(ComponentShare(i, tuple(members), total, share))
     return ChargeLedger(
-        g.n, tuple(Fraction(d) for d in deg), tuple(transfers), tuple(charge), tuple(shares)
+        g.n, tuple(Fraction(d) for d in deg), tuple(transfers), tuple(final), tuple(shares)
     )
 
 
@@ -251,23 +264,17 @@ def tree_charge_audit(
     adj, mask = g._adj, _vertex_mask(members)
     if mask.bit_count() != len(members):
         raise PreconditionError("component repeats a vertex", witness=members)
-    if not _in_t_k(adj, mask, k):
+    cuts = _tree_cuts(adj, mask, k)
+    if cuts is None:
         raise PreconditionError("component outside the tree family", witness=members)
-    w, q = _w_q(adj, mask, k)
+    w = _clique_vertices(adj, mask, k - 1)
+    q = (w & ~cuts).bit_count()
     # 2|E(T)| is the sum of the degrees inside T
     two_m = sum((adj[v] & mask).bit_count() for v in members)
     a_val = (k - 1) * len(members) - two_m - q
-    inside = set(members)
-    received = sum(
-        (a for r, _, d, a in ledger.transfers if d in inside and r in _RECEIVE_RULES),
-        Fraction(0),
-    )
+    received = _exact_sum(a for r, _, d, a in ledger.transfers if r in _RECEIVE_RULES and mask >> d & 1)
     floor = (params.target - (k - 1)) * len(members)
-    has_clique = w != 0
-    if has_clique:
-        lower = params.epsilon * a_val + params.gamma * (q - REGIMES[params.mode].c)
-    else:
-        lower = params.epsilon * a_val
+    lower = params.epsilon * a_val + (params.gamma * (q - REGIMES[params.mode].c) if w else 0)
     if received < lower:
         raise AssertionError(
             "component %s received %s < guaranteed %s" % (members, received, lower)
@@ -276,4 +283,4 @@ def tree_charge_audit(
         raise AssertionError(
             "guarantee %s for component %s undercuts floor %s" % (lower, members, floor)
         )
-    return TreeAudit(a_val, q, received, floor, has_clique)
+    return TreeAudit(a_val, q, received, floor, w != 0)

@@ -98,30 +98,28 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     return BlockDecomposition(tuple(frozenset(b) for b in verts), frozenset(_mask_bits(cuts)))
 
 
-def _is_gallai(adj, mask: int) -> bool:
-    """The subgraph induced on mask is nonempty, connected, and every block
-    is a clique or an odd cycle."""
-    found = _blocks(adj, mask) if mask else None
+def _tree_cuts(adj, mask: int, k: int) -> Optional[int]:
+    """The cut-vertex mask of the subgraph induced on mask if it is a Gallai
+    tree of maximum degree <= k-1 other than K_k; else None."""
+    degrees = [(adj[v] & mask).bit_count() for v in _mask_bits(mask)]
+    if not degrees or max(degrees) > k - 1:
+        return None
+    if len(degrees) == k and sum(degrees) == k * (k - 1):
+        return None
+    found = _blocks(adj, mask)
     if found is None:
-        return False
+        return None
     for blk in found[0]:
         size = blk.bit_count()
         # a block is 2-connected, so all inner degrees 2 make it a cycle
         inner = {(adj[v] & blk).bit_count() for v in _mask_bits(blk)}
         if inner != {size - 1} and not (size % 2 and inner == {2}):
-            return False
-    return True
+            return None
+    return found[1]
 
 
 def _in_t_k(adj, mask: int, k: int) -> bool:
-    """The subgraph induced on mask is a Gallai tree of maximum degree
-    <= k-1 other than K_k."""
-    degrees = [(adj[v] & mask).bit_count() for v in _mask_bits(mask)]
-    if not degrees or max(degrees) > k - 1:
-        return False
-    if len(degrees) == k and sum(degrees) == k * (k - 1):
-        return False
-    return _is_gallai(adj, mask)
+    return _tree_cuts(adj, mask, k) is not None
 
 
 def _w_q(adj, mask: int, k: int) -> tuple[int, int]:
@@ -135,7 +133,8 @@ def _w_q(adj, mask: int, k: int) -> tuple[int, int]:
 
 def is_gallai_tree(g: Graph) -> bool:
     """Connected, and every block is a clique or an odd cycle. K_1 counts."""
-    return _is_gallai(g._adj, (1 << g.n) - 1)
+    # k = n + 1 bounds no degree and rules out no clique
+    return _tree_cuts(g._adj, (1 << g.n) - 1, g.n + 1) is not None
 
 
 def in_t_k(g: Graph, k: int) -> bool:

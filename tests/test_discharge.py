@@ -1,6 +1,8 @@
 """Charge redistribution: parameters, rules, ledgers, audits."""
 
+import json
 from fractions import Fraction as F
+from hashlib import sha256
 from itertools import combinations
 from random import Random
 
@@ -27,7 +29,9 @@ from critgraphs import (
     run_main_discharge,
     sponsorship_stats,
     tree_charge_audit,
+    write_graph6,
 )
+from critgraphs.cli import main
 from critgraphs.discharge import _RECEIVE_RULES, ComponentShare, SponsorStats
 from critgraphs.graph import _vertex_mask
 from critgraphs.structure import _in_t_k
@@ -542,3 +546,200 @@ def test_rule_loop_matches_the_set_based_procedures():
                 elif "received" in got[1]:
                     assert "received %s <" % received in got[1]
     assert fired == {"G1", "G2", "R1", "R2", "R3ai", "R3bi", "R4-share"}
+
+
+# replay in integer units against the Fraction fold it replaced
+
+def reference_replay(ledger):
+    """ChargeLedger.replay as first written: one Fraction operation per end of
+    every transfer."""
+    charge = {v: ledger.initial[v] for v in range(ledger.n)}
+    for _, src, dst, amount in ledger.transfers:
+        charge[src] = charge.get(src, F(0)) - amount
+        charge[dst] = charge.get(dst, F(0)) + amount
+    for node, value in charge.items():
+        if isinstance(node, str) and value != 0:
+            raise AssertionError("pool %r nets %s, expected 0" % (node, value))
+    return tuple(charge[v] for v in range(ledger.n))
+
+
+def test_replay_matches_the_fraction_fold_on_the_oracle_corpus():
+    checked = {"gallai": 0, "auto": 0, "symmetric": 0, "lopsided": 0}
+    for label, g, k in oracle_corpus():
+        ledgers = []
+        try:
+            ledgers.append(("gallai", run_gallai_discharge(g, k)))
+        except PreconditionError:
+            pass
+        for mode in ("auto", "symmetric", "lopsided"):
+            try:
+                ledgers.append((mode, run_main_discharge(g, params_for(k, mode))))
+            except (PreconditionError, EliminationFailed):
+                pass
+        for mode, ledger in ledgers:
+            assert repr(ledger.replay()) == repr(reference_replay(ledger)), (label, mode)
+            assert ledger.replay() == ledger.final
+            checked[mode] += 1
+    assert min(checked.values()) >= 40, checked
+
+
+def hand_built_ledger(residue=F(0)):
+    """Eight vertices with int and Fraction starts; int amounts beside
+    eps = 1/7; then shares over three members and over five, the second pool
+    keeping residue back from its last member."""
+    eps = F(1, 7)
+    initial = (4, F(5), F(9, 2), 3, F(4), 6, F(7, 3), 5)
+    transfers = [
+        ("R1", 1, 0, eps), ("R1", 5, 2, eps), ("R2", 5, 3, 1),
+        ("R2", 7, 4, 2), ("R1", 7, 6, eps), ("R3ai", 6, 3, eps),
+    ]
+    charge = list(initial)
+    for _, src, dst, amount in transfers:
+        charge[src] -= amount
+        charge[dst] += amount
+    final = list(charge)
+    shares = []
+    for i, members in enumerate(((0, 1, 2), (3, 4, 5, 6, 7))):
+        pool = "share:%d" % i
+        total = sum((F(charge[v]) for v in members), F(0))
+        share = total / len(members)
+        transfers += [("R4-share", v, pool, charge[v]) for v in members]
+        transfers += [("R4-share", pool, v, share) for v in members]
+        for v in members:
+            final[v] = share
+        shares.append(ComponentShare(i, members, total, share))
+    if residue:
+        rule, pool, v, share = transfers.pop()
+        transfers.append((rule, pool, v, share - residue))
+        final[v] = share - residue
+    return ChargeLedger(8, initial, tuple(transfers), tuple(final), tuple(shares))
+
+
+def test_replay_of_a_hand_built_ledger():
+    ledger = hand_built_ledger()
+    assert ledger.conserved
+    got = ledger.replay()
+    assert got == ledger.final == reference_replay(ledger)
+    assert repr(got) == repr(reference_replay(ledger))
+    assert all(type(x) is F for x in got)
+    assert got[:3] == (F(191, 42),) * 3  # (4 + 5 + 9/2 + 1/7) / 3
+    assert got[3:] == (F(424, 105),) * 5  # (3 + 4 + 6 + 7/3 + 5 - 1/7) / 5
+    assert ledger.outflow(5) == 6  # 1/7 and 1 by the rules, then its charge to the pool
+    assert ledger.inflow(3, {"R2", "R3ai"}) == 1 + F(1, 7)
+    assert type(ledger.inflow(3, {"R2"})) is F and ledger.inflow(3, {"R2"}) == 1
+    assert ledger.outflow(3, {"R1"}) == F(0) and type(ledger.outflow(3, {"R1"})) is F
+
+
+def test_replay_names_a_pools_residue_as_a_fraction():
+    ledger = hand_built_ledger(residue=F(1, 3))
+    assert not ledger.conserved
+    with pytest.raises(AssertionError) as want:
+        reference_replay(ledger)
+    with pytest.raises(AssertionError) as got:
+        ledger.replay()
+    assert str(got.value) == str(want.value) == "pool 'share:1' nets 1/3, expected 0"
+
+
+# discharge documents through main(), pinned as computed before charges were
+# summed in integer units
+
+def seeded_forest(seed):
+    """(graph, k): one to three random Gallai trees on at most six vertices,
+    padded by build_charge_instance in a random mode."""
+    rng = Random(seed)
+    k = rng.choice((5, 6, 7))
+    pool = list(enumerate_gallai_trees(k, 6))
+    trees = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+    mode = rng.choice(("single", "double", "pair", "mixed"))
+    return build_charge_instance(k, trees, mode).graph, k
+
+
+def digest_instances():
+    yield ("3ai", *three_ai_instance())
+    yield "stalled(5,4,4)", stalled_aux_instance(5, 4, 4)[0], 5
+    yield "stalled(7,3,5)", stalled_aux_instance(7, 3, 5)[0], 7
+    for seed in (1, 3, 5, 7):
+        yield ("forest%d" % seed, *seeded_forest(seed))
+
+
+# per instance, (exit code, sha256 of the document without runtime) under
+# --mode auto, symmetric, lopsided and gallai-sec2
+DISCHARGE_DIGESTS = {
+    "3ai": (
+        (0, "a173025f338e0260251dc6efcbb164f84de4b623ccf7ed8e0d6d0dc79357e21c"),  # auto
+        (0, "e15a671d11c667e2aa89fbfe3b504fe3c8d99b3c8e1ccd6fc55c56a4e61e7dab"),  # symmetric
+        (3, "537a8107b7f22ec5933a7fed75a2c7876f9036d906d7a6abc497f56870b8cd76"),  # lopsided
+        (0, "f7ccca2743de9626aacfab54bc639ca5c065985a1dc88ddb69544b6aeb314baf"),  # gallai-sec2
+    ),
+    "stalled(5,4,4)": (
+        (1, "cf89ccefd9932ba2e704a42dd2069430f5f0e01c5d859a840e64ea536cb56490"),  # auto
+        (3, "352df2057978244c7c69b16be02b041c27634b8cda4abec454cc9b4de7c2ebc0"),  # symmetric
+        (1, "554f4e88d18b7206faf02e29fe763bf8f474e31a21f9cc66fcb26e493d33f54c"),  # lopsided
+        (0, "b5742518b3af82a21e9091b206299c7682943bfc2587067b0755a800b8bba0c9"),  # gallai-sec2
+    ),
+    "stalled(7,3,5)": (
+        (1, "7e572d2fe29769a3b8dc5d84644e1033d2e771fb3652cb76dbb0a4aa2c0ca415"),  # auto
+        (1, "fc03e5d9fc196c7fcdcc3904a881eaa09aaf97c5f1d7fcaa4e367f0b201186f5"),  # symmetric
+        (3, "537a8107b7f22ec5933a7fed75a2c7876f9036d906d7a6abc497f56870b8cd76"),  # lopsided
+        (0, "0f698a665bb75e1b2cc8aa530e8a966423d241f3687767ac190054a05d8a4c79"),  # gallai-sec2
+    ),
+    "forest1": (
+        (0, "f39c071e91c1fd61466dd8cacaf4052a0ad35efc1ed09b7fc2f5d260cdaab503"),  # auto
+        (3, "352df2057978244c7c69b16be02b041c27634b8cda4abec454cc9b4de7c2ebc0"),  # symmetric
+        (0, "741b60c6f6cc386a66995a7b64531a74ee9aa52276c24341788d2d19bc8b51c0"),  # lopsided
+        (0, "75651a7dbeeaba16bebd7c968c1e5e693d93a8aa3a8de9ce3fe0ff79c842b978"),  # gallai-sec2
+    ),
+    "forest3": (
+        (0, "95132f52bdbdc34c7bb7c8ee94fe41f1bd24a2b69cff78f54075a768702056e0"),  # auto
+        (3, "352df2057978244c7c69b16be02b041c27634b8cda4abec454cc9b4de7c2ebc0"),  # symmetric
+        (0, "81ec7a4b5ab4548b23328f73dfe637846c220f6386e3a7689637f6ef0fafad1a"),  # lopsided
+        (0, "ee6b4faf331c7d93dd9cee1ae93c58f5fc3103ddf5b3e27a20636f8d367f8246"),  # gallai-sec2
+    ),
+    "forest5": (
+        (0, "5673cce2179f3c0effbadcef66c5f16eb8340cf1558c32bb1e29145bddd5e798"),  # auto
+        (0, "a28590bdee45965336548359336a72f9d3c09ac2ef423cfa55ffb8b1150d212e"),  # symmetric
+        (3, "537a8107b7f22ec5933a7fed75a2c7876f9036d906d7a6abc497f56870b8cd76"),  # lopsided
+        (0, "da5ed9bebd047a0d05872d6c851c10aed2d48f4239889025efde3f94bba59ba7"),  # gallai-sec2
+    ),
+    "forest7": (
+        (0, "ed770ce28c05d3e43f00b81e27daa421d513f2eff98e0b7e8e8c6f496805ab20"),  # auto
+        (3, "87acfce2cfb05938bdc4902289d615e37de64bfa4d009b28defc6e4e3578b08a"),  # symmetric
+        (0, "3eb44d40376910fd971ace9a878d7311996a2cc4fab129f3bacf0fd99226ae7d"),  # lopsided
+        (0, "c010b38c54407784416e49969a8358bc31d4684586ab95fb3622938f0352a152"),  # gallai-sec2
+    ),
+}
+
+
+def test_discharge_documents_match_their_pinned_digests(capsys):
+    got = {}
+    for label, g, k in digest_instances():
+        runs = []
+        for mode in ("auto", "symmetric", "lopsided", "gallai-sec2"):
+            code = main(["discharge", write_graph6(g), "--k", str(k), "--mode", mode])
+            doc = json.loads(capsys.readouterr().out)
+            doc.pop("runtime", None)
+            runs.append((code, sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()))
+        got[label] = tuple(runs)
+    assert got == DISCHARGE_DIGESTS
+
+
+def test_one_block_pass_per_component(monkeypatch):
+    passes = []
+    blocks = structure_module._blocks
+
+    def counted(adj, mask):
+        passes.append(mask)
+        return blocks(adj, mask)
+
+    monkeypatch.setattr(structure_module, "_blocks", counted)
+    instances = [three_ai_instance()] + [(i.graph, k) for k in (5, 7) for i in charge_corpus(k)]
+    for g, k in instances:
+        pr = params_for(k)
+        comps = low_high_split(g, k).l_components
+        passes.clear()
+        ledger = run_main_discharge(g, pr)
+        assert sorted(passes) == sorted(_vertex_mask(c) for c in comps)
+        for comp in comps:
+            passes.clear()
+            tree_charge_audit(g, comp, pr, ledger)
+            assert passes == [_vertex_mask(comp)]
