@@ -9,7 +9,7 @@ the fact.  Charges are summed in integer units of 1/D, D the lcm of the
 denominators in play: nothing is rounded, and every value exposed is a Fraction.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Union
@@ -17,8 +17,8 @@ from typing import Optional, Union
 # make_params is re-exported: it lives with the bounds it produces
 from .bounds import DischargeParams, _epsilon, g_family, make_params, preset_params
 from .errors import EliminationFailed, PreconditionError
-from .graph import Graph, _clique_vertices, _mask_bits, _vertex_mask
-from .structure import REGIMES, _in_t_k, _tree_cuts, build_auxiliary, eliminate, low_high_split
+from .graph import Graph, _mask_bits, _vertex_mask
+from .structure import REGIMES, _tree_cuts, build_auxiliary, eliminate, low_high_split
 
 Node = Union[int, str]
 
@@ -51,6 +51,8 @@ class ChargeLedger:
     transfers: tuple[tuple[str, Node, Node, Fraction], ...]
     final: tuple[Fraction, ...]
     component_shares: tuple[ComponentShare, ...] = ()
+    # each component's W as the rules read it; it follows from the graph
+    component_w: tuple[int, ...] = field(default=(), repr=False, compare=False)
 
     @property
     def conserved(self) -> bool:
@@ -88,9 +90,9 @@ def _check_degrees(g: Graph, k: int) -> None:
             raise PreconditionError("vertex %d has degree %d < k-1" % (v, d), witness=v)
 
 
-def _check_trees(g: Graph, k: int, components) -> None:
-    for comp in components:
-        if not _in_t_k(g._adj, _vertex_mask(comp), k):
+def _check_trees(components, tree_cuts) -> None:
+    for comp, cuts in zip(components, tree_cuts):
+        if cuts is None:
             raise PreconditionError(
                 "a component of the degree-(k-1) subgraph falls outside the "
                 "clique-or-odd-cycle-block family",
@@ -158,7 +160,7 @@ def _discharge(
             final[v] = share
         shares.append(ComponentShare(i, tuple(members), total, share))
     return ChargeLedger(
-        g.n, tuple(Fraction(d) for d in deg), tuple(transfers), tuple(final), tuple(shares)
+        g.n, tuple(Fraction(d) for d in deg), tuple(transfers), tuple(final), tuple(shares), tuple(w_masks)
     )
 
 
@@ -176,11 +178,11 @@ def run_gallai_discharge(g: Graph, k: int) -> ChargeLedger:
         raise PreconditionError("k must be at least 4", witness=k)
     _check_degrees(g, k)
     components = low_high_split(g, k).l_components
-    _check_trees(g, k, components)
+    _check_trees(components, [_tree_cuts(g._adj, _vertex_mask(c), k) for c in components])
     # Gallai's bound is the gallai preset's target with no W, so no vertex
     # sends a gamma: G1 sends that preset's epsilon, (k-1)/(k^2-3)
     amount = _epsilon(preset_params(k, "gallai"), 0)
-    return _discharge(g, k, amount, Fraction(0), ("G1", "G2"), components, (), ())
+    return _discharge(g, k, amount, Fraction(0), ("G1", "G2"), components, [()] * len(components), ())
 
 
 def run_main_discharge(g: Graph, params: DischargeParams) -> ChargeLedger:
@@ -192,7 +194,7 @@ def run_main_discharge(g: Graph, params: DischargeParams) -> ChargeLedger:
     # the auxiliary graph's trees are the components of the degree-(k-1)
     # subgraph, in the order low_high_split gives them
     aux = build_auxiliary(g, k)
-    _check_trees(g, k, aux.tree_components)
+    _check_trees(aux.tree_components, aux.tree_cuts)
     elim = eliminate(aux, params.mode)
     if not elim.succeeded:
         raise EliminationFailed(
@@ -219,7 +221,7 @@ class SponsorStats:
 def sponsorship_stats(g: Graph, params: DischargeParams, ledger: ChargeLedger) -> SponsorStats:
     """Read the rule-3 bookkeeping back out of a ledger: how many gammas each
     k-vertex sent, and per component how many of its q(T) boundary edges
-    carried no gamma.  The components are the ledger's own."""
+    carried no gamma.  The components, and each one's W, are the ledger's own."""
     adj, k = g._adj, params.k
     ys = [v for v, d in enumerate(g.degrees()) if d == k]
     gamma_counts = dict.fromkeys(ys, 0)
@@ -231,9 +233,8 @@ def sponsorship_stats(g: Graph, params: DischargeParams, ledger: ChargeLedger) -
             got_gamma[d] = got_gamma.get(d, 0) | 1 << s
     unsponsored = {}
     max_w = 0
-    for i, share in enumerate(ledger.component_shares):
+    for i, (share, w) in enumerate(zip(ledger.component_shares, ledger.component_w, strict=True)):
         comp = _vertex_mask(share.vertices)
-        w = _clique_vertices(adj, comp, k - 1)
         unsponsored[i] = sum(
             (adj[x] & ~comp & ~got_gamma.get(x, 0)).bit_count() for x in _mask_bits(w)
         )
@@ -264,10 +265,10 @@ def tree_charge_audit(
     adj, mask = g._adj, _vertex_mask(members)
     if mask.bit_count() != len(members):
         raise PreconditionError("component repeats a vertex", witness=members)
-    cuts = _tree_cuts(adj, mask, k)
-    if cuts is None:
+    found = _tree_cuts(adj, mask, k)
+    if found is None:
         raise PreconditionError("component outside the tree family", witness=members)
-    w = _clique_vertices(adj, mask, k - 1)
+    cuts, w = found
     q = (w & ~cuts).bit_count()
     # 2|E(T)| is the sum of the degrees inside T
     two_m = sum((adj[v] & mask).bit_count() for v in members)

@@ -366,8 +366,13 @@ def _expand(adj, r: int, p: int, x: int, t: int = 0) -> Iterator[int]:
             if p == 0 and x == 0:
                 yield r
             else:
-                # pivot: vertex of p|x maximizing |p & adj|
-                pivot = max(_mask_bits(p | x), key=lambda u: (p & adj[u]).bit_count())
+                # pivot: the first vertex of p | x with the most neighbours in p
+                most, rest = -1, p | x
+                while rest:
+                    u = (rest & -rest).bit_length() - 1
+                    rest &= rest - 1
+                    if (p & adj[u]).bit_count() > most:
+                        most, pivot = (p & adj[u]).bit_count(), u
                 todo = p & ~adj[pivot]
                 if todo:
                     stack.append((r, p, x, todo))

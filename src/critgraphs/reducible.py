@@ -13,8 +13,8 @@ from typing import Dict, Optional, Tuple
 
 from .coloring import AT_MAX_EDGES, ATCertificate, is_f_AT
 from .errors import PreconditionError
-from .graph import Graph, _vertex_mask, contains_clique, induced_subgraph
-from .structure import AuxiliaryBipartite, _in_t_k, build_aux_partition, eliminate
+from .graph import Graph, contains_clique, induced_subgraph
+from .structure import AuxiliaryBipartite, build_aux_partition, eliminate
 
 # Caps of _search_induced: induced subgraphs looked at (the default of
 # max_explored), and certificate searches run.
@@ -42,12 +42,8 @@ def _common_hypotheses(g: Graph, marked, k: int) -> tuple[AuxiliaryBipartite, Di
     aux = build_aux_partition(g, marked, k)
     hyps = {
         "no_Kk": not contains_clique(g, k)[0],
-        "parts_in_Tk": all(
-            _in_t_k(g._adj, _vertex_mask(comp), k) for comp in aux.tree_components
-        ),
-        "outside_degree_cap": all(
-            g.degree(v) <= k - 1 for v in range(g.n) if v not in marked
-        ),
+        "parts_in_Tk": None not in aux.tree_cuts,
+        "outside_degree_cap": all(d <= k - 1 for v, d in enumerate(g.degrees()) if v not in marked),
     }
     return aux, hyps
 
@@ -69,7 +65,7 @@ def check_lemma51(
         return ReducibilityReport(hyps, None, None, "hypotheses failed")
     if g.m > max_edges:
         return ReducibilityReport(hyps, None, None, "not verified: budget")
-    f = [g.degree(v) for v in range(g.n)]
+    f = list(g.degrees())
     f[x] -= 1
     cert = is_f_AT(g, f, max_edges=max_edges)
     if cert is None:
@@ -98,14 +94,11 @@ def _search_induced(g, yset, max_edges, max_explored):
             if explored > max_explored:
                 return None, None, None, "not verified: budget"
             keep = [v for v in range(g.n) if v not in dropped]
-            sub, relabel = induced_subgraph(g, keep)
+            sub, _ = induced_subgraph(g, keep)  # labels follow the order of keep
             if sub.m > max_edges:
                 skipped += 1
                 continue
-            f = [0] * sub.n
-            for v in keep:
-                d = sub.degree(relabel[v])
-                f[relabel[v]] = d - 1 if v in yset else d
+            f = [d - 1 if v in yset else d for v, d in zip(keep, sub.degrees())]
             if min(f) < 0:
                 # an isolated marked vertex would need a -1 list; hopeless
                 continue

@@ -29,50 +29,49 @@ def _blocks(adj, mask: int) -> Optional[tuple[list[int], int]]:
     mask; None if that subgraph is disconnected.
 
     Tarjan's depth-first search from the lowest vertex of mask, taking
-    neighbours ascending.  A vertex's low point may come from its parent,
-    which leaves the test low[child] >= disc[parent] exact for blocks.
+    neighbours ascending; vertices are bits, and each open one waits on the
+    stack with the neighbours it has not tried.  A vertex's low point may
+    come from its parent, which leaves the test low[child] >= disc[parent]
+    exact for blocks.  The cut vertices are those in two blocks or more.
     """
     if not mask:
         return [], 0
-    root = (mask & -mask).bit_length() - 1
-    disc = {root: 0}
-    low = {root: 0}
-    path = [root]  # visited vertices not yet closed into a block
-    stack = [(root, _mask_bits(adj[root] & mask))]
+    root = seen = mask & -mask
+    disc, low = {root: 0}, {root: 0}
+    # below[i]: the first i + 1 vertices visited and not yet closed into a block
+    below = [root]
+    stack = [(root, adj[root.bit_length() - 1] & mask, 0)]
     blocks: list[int] = []
-    cuts = 0
-    root_children = 0
+    cuts = covered = 0
     while stack:
-        v, nbrs = stack[-1]
-        for w in nbrs:
-            if w not in disc:
+        v, nbrs, at = stack[-1]
+        while nbrs:
+            w = nbrs & -nbrs
+            nbrs ^= w
+            if not seen & w:
+                seen |= w
+                stack[-1] = (v, nbrs, at)
                 disc[w] = low[w] = len(disc)
-                path.append(w)
-                stack.append((w, _mask_bits(adj[w] & mask)))
-                root_children += v == root
+                stack.append((w, adj[w.bit_length() - 1] & mask, len(below)))
+                below.append(below[-1] | w)
                 break
-            low[v] = min(low[v], disc[w])
+            if disc[w] < low[v]:
+                low[v] = disc[w]
         else:
             stack.pop()
             if stack:
                 u = stack[-1][0]
-                low[u] = min(low[u], low[v])
+                if low[v] < low[u]:
+                    low[u] = low[v]
                 if low[v] >= disc[u]:
-                    # u separates the subtree at v: pop it as one block with u
-                    blk = 1 << u
-                    while True:
-                        x = path.pop()
-                        blk |= 1 << x
-                        if x == v:
-                            break
+                    # u separates the subtree at v: with u, v and every open
+                    # vertex visited after it form one block
+                    blk = u | below[-1] & ~below[at - 1]
+                    del below[at:]
                     blocks.append(blk)
-                    if u != root:
-                        cuts |= 1 << u
-    if len(disc) != mask.bit_count():
-        return None
-    if root_children >= 2:
-        cuts |= 1 << root
-    return blocks, cuts
+                    cuts |= covered & blk
+                    covered |= blk
+    return (blocks, cuts) if seen == mask else None
 
 
 def _connected_blocks(adj, mask: int) -> tuple[list[int], int]:
@@ -98,24 +97,26 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     return BlockDecomposition(tuple(frozenset(b) for b in verts), frozenset(_mask_bits(cuts)))
 
 
-def _tree_cuts(adj, mask: int, k: int) -> Optional[int]:
-    """The cut-vertex mask of the subgraph induced on mask if it is a Gallai
-    tree of maximum degree <= k-1 other than K_k; else None."""
+def _tree_cuts(adj, mask: int, k: int) -> Optional[tuple[int, int]]:
+    """The cut-vertex mask and W of the subgraph induced on mask if it is a
+    Gallai tree of maximum degree <= k-1 other than K_k; else None.  For
+    k >= 4, W is its clique blocks on k-1 vertices: as bounds._blocks_w_q
+    says, no clique block is larger and every K_{k-1} lies in one of them."""
     degrees = [(adj[v] & mask).bit_count() for v in _mask_bits(mask)]
-    if not degrees or max(degrees) > k - 1:
-        return None
-    if len(degrees) == k and sum(degrees) == k * (k - 1):
+    if not degrees or max(degrees) > k - 1 or len(degrees) == k and min(degrees) == k - 1:
         return None
     found = _blocks(adj, mask)
     if found is None:
         return None
+    w = 0
     for blk in found[0]:
         size = blk.bit_count()
         # a block is 2-connected, so all inner degrees 2 make it a cycle
         inner = {(adj[v] & blk).bit_count() for v in _mask_bits(blk)}
         if inner != {size - 1} and not (size % 2 and inner == {2}):
             return None
-    return found[1]
+        w |= blk if size == k - 1 and inner == {size - 1} else 0
+    return found[1], (w if k >= 4 else _clique_vertices(adj, mask, k - 1))
 
 
 def _in_t_k(adj, mask: int, k: int) -> bool:
@@ -165,12 +166,13 @@ class LowHighSplit:
 
 
 def low_high_split(g: Graph, k: int) -> LowHighSplit:
-    low = [v for v in range(g.n) if g.degree(v) == k - 1]
+    deg = g.degrees()
+    low = [v for v, d in enumerate(deg) if d == k - 1]
     return LowHighSplit(
         l_components=tuple(frozenset(_mask_bits(c)) for c in _component_masks(g._adj, _vertex_mask(low))),
-        h_vertices=frozenset(v for v in range(g.n) if g.degree(v) == k),
-        higher_vertices=frozenset(v for v in range(g.n) if g.degree(v) >= k + 1),
-        sub_vertices=frozenset(v for v in range(g.n) if g.degree(v) < k - 1),
+        h_vertices=frozenset(v for v, d in enumerate(deg) if d == k),
+        higher_vertices=frozenset(v for v, d in enumerate(deg) if d >= k + 1),
+        sub_vertices=frozenset(v for v, d in enumerate(deg) if d < k - 1),
     )
 
 
@@ -183,6 +185,7 @@ class AuxiliaryBipartite:
     w_sets: tuple[frozenset, ...]
     y_vertices: tuple[int, ...]
     edges: frozenset  # of (y, component index)
+    tree_cuts: tuple[Optional[int], ...] = ()  # per component: its cut mask in T_k, else None
 
     def y_degree(self, y: int) -> int:
         return sum(1 for z, _ in self.edges if z == y)
@@ -192,19 +195,18 @@ def build_aux_partition(
     g: Graph, y_vertices, k: int, tree_vertices=None
 ) -> AuxiliaryBipartite:
     """General form: components are taken from tree_vertices (default: the
-    complement of y_vertices)."""
+    complement of y_vertices).  One _tree_cuts pass per component gives
+    tree_cuts and, in T_k, W; W outside T_k comes from the clique search."""
     ys = sorted(set(y_vertices))
-    if tree_vertices is None:
-        tree_pool = [v for v in range(g.n) if v not in ys]
-    else:
-        tree_pool = sorted(set(tree_vertices))
+    tree_pool = sorted(set(range(g.n)).difference(ys) if tree_vertices is None else set(tree_vertices))
     for v in ys + tree_pool:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
     comps = _component_masks(g._adj, _vertex_mask(tree_pool))
     # W of a component is taken in the component alone: a marked vertex that
     # completes a K_{k-1} with tree vertices does not put them in W
-    w_masks = [_clique_vertices(g._adj, comp, k - 1) for comp in comps]
+    found = [_tree_cuts(g._adj, comp, k) for comp in comps]
+    w_masks = [f[1] if f else _clique_vertices(g._adj, c, k - 1) for f, c in zip(found, comps)]
     return AuxiliaryBipartite(
         tree_components=tuple(frozenset(_mask_bits(c)) for c in comps),
         w_sets=tuple(frozenset(_mask_bits(w)) for w in w_masks),
@@ -212,6 +214,7 @@ def build_aux_partition(
         edges=frozenset(
             (y, i) for y in ys for i, w in enumerate(w_masks) if g._adj[y] & w
         ),
+        tree_cuts=tuple(None if f is None else f[0] for f in found),
     )
 
 
@@ -280,9 +283,7 @@ def eliminate(aux: AuxiliaryBipartite, mode: str) -> EliminationResult:
         tree_nbrs[i] |= 1 << y
         high_nbrs[y] |= 1 << i
     trees = (1 << len(tree_nbrs)) - 1
-    highs = 0
-    for y in high_nbrs:
-        highs |= 1 << y
+    highs = _vertex_mask(high_nbrs)
     order: list[tuple[str, int]] = []
     while trees or highs:
         removed = False

@@ -9,6 +9,7 @@ from random import Random
 import pytest
 
 import critgraphs.discharge as discharge_module
+import critgraphs.graph as graph_module
 import critgraphs.structure as structure_module
 from conftest import build_charge_instance, charge_corpus, stalled_aux_instance
 from critgraphs import (
@@ -743,3 +744,24 @@ def test_one_block_pass_per_component(monkeypatch):
             passes.clear()
             tree_charge_audit(g, comp, pr, ledger)
             assert passes == [_vertex_mask(comp)]
+
+
+def test_ledgers_audits_and_sponsorship_run_no_clique_search(monkeypatch):
+    # every component here is in T_k, so its W is read off its block pass
+    # and carried on the ledger
+    searches = []
+    expand = graph_module._expand
+
+    def counted(adj, r, p, x, t=0):
+        searches.append(p)
+        return expand(adj, r, p, x, t)
+
+    monkeypatch.setattr(graph_module, "_expand", counted)
+    instances = [three_ai_instance()] + [(i.graph, k) for k in (5, 7) for i in charge_corpus(k)]
+    for g, k in instances:
+        pr = params_for(k)
+        ledger = run_main_discharge(g, pr)
+        for comp in low_high_split(g, k).l_components:
+            tree_charge_audit(g, comp, pr, ledger)
+        sponsorship_stats(g, pr, ledger)
+    assert searches == []

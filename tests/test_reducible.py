@@ -1,7 +1,11 @@
 """Reducible-configuration checkers."""
 
+from itertools import combinations
+from random import Random
+
 import pytest
 
+from conftest import lemma51_family
 from critgraphs import (
     Graph,
     PreconditionError,
@@ -9,10 +13,13 @@ from critgraphs import (
     check_lemma51,
     check_lemma52,
     check_lemma53,
+    contains_clique,
     eliminate,
+    parse_graph6,
 )
+from critgraphs.graph import _clique_vertices, _component_masks, _mask_bits, _vertex_mask
 from critgraphs.reducible import MARKED_SET_CHECKS
-from critgraphs.structure import REGIMES
+from critgraphs.structure import REGIMES, _in_t_k
 
 SINGLE_KEYS = {"no_Kk", "parts_in_Tk", "outside_degree_cap", "w_hit_every_part", "x_degree"}
 MULTI_KEYS = {"no_Kk", "parts_in_Tk", "outside_degree_cap", "aux_degrees"}
@@ -169,3 +176,68 @@ def test_elimination_caps_and_lemma_floors_share_a_regime(mode):
         floors_met = trees >= s and marked >= c + 1
         assert stalls == report.hypotheses["aux_degrees"] == floors_met
         assert report.all_hold == floors_met
+
+
+# every hypothesis and aux edge from its definition, one part at a time
+
+def hypotheses_by_definition(g, marked, k, mode=None):
+    """The hypotheses of Lemma 5.1 (mode None, one marked vertex) or of the
+    marked-set lemma of mode, and the aux edges: no_Kk by contains_clique,
+    each part's T_k membership by _in_t_k and its W by the clique search."""
+    marked = sorted(set(marked))
+    rest = [v for v in range(g.n) if v not in marked]
+    parts = _component_masks(g._adj, _vertex_mask(rest))
+    ws = [_clique_vertices(g._adj, part, k - 1) for part in parts]
+    edges = {(y, i) for y in marked for i, w in enumerate(ws) if g._adj[y] & w}
+    hyps = {
+        "no_Kk": not contains_clique(g, k)[0],
+        "parts_in_Tk": all(_in_t_k(g._adj, part, k) for part in parts),
+        "outside_degree_cap": all(g.degree(v) <= k - 1 for v in rest),
+    }
+    if mode is None:
+        (x,) = marked
+        hyps["w_hit_every_part"] = {i for _, i in edges} == set(range(len(parts)))
+        hyps["x_degree"] = g.degree(x) >= len(parts) + 2
+    else:
+        c, s = REGIMES[mode].c, REGIMES[mode].s
+        hyps["aux_degrees"] = all(
+            sum(z == y for z, _ in edges) >= s for y in marked
+        ) and all(sum(j == i for _, j in edges) >= c + 1 for i in range(len(parts)))
+    return hyps, edges, ws
+
+
+def assert_reports_match_the_definitions(g, marked, k):
+    aux = build_aux_partition(g, marked, k)
+    checks = [(None, lambda: check_lemma51(g, marked[0], k, max_edges=0))] if len(marked) == 1 else []
+    checks += [
+        (mode, lambda mode=mode: MARKED_SET_CHECKS[mode](g, marked, k, max_edges=0, max_explored=0))
+        for mode in ("symmetric", "lopsided") if k >= {"symmetric": 7, "lopsided": 5}[mode]
+    ]
+    for mode, check in checks:
+        hyps, edges, ws = hypotheses_by_definition(g, marked, k, mode)
+        assert check().hypotheses == hyps, (g.edges(), marked, k, mode)
+        assert aux.edges == edges
+        assert aux.w_sets == tuple(frozenset(_mask_bits(w)) for w in ws)
+        assert (None not in aux.tree_cuts) == hyps["parts_in_Tk"]
+
+
+def test_reports_match_the_hypotheses_by_definition():
+    """On criterion 9's one-part and two-part families, on parts outside T_k
+    that hold a K_{k-1}, and on random marked sets."""
+    for g, x in lemma51_family():
+        assert_reports_match_the_definitions(g, [x], 5)
+    g = parse_graph6("E~og")
+    aux = build_aux_partition(g, [5], 5)
+    assert aux.tree_cuts == (None,) and aux.w_sets == (frozenset({0, 1, 2, 3}),)
+    assert_reports_match_the_definitions(g, [5], 5)
+    rng = Random(53)
+    outside_with_w = 0
+    for _ in range(400):
+        n = rng.randint(4, 10)
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.55])
+        marked = sorted(rng.sample(range(n), rng.randint(1, 3)))
+        for k in (5, 7):
+            assert_reports_match_the_definitions(g, marked, k)
+            aux = build_aux_partition(g, marked, k)
+            outside_with_w += any(c is None and w for c, w in zip(aux.tree_cuts, aux.w_sets))
+    assert outside_with_w > 50

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_atlas, graph_to_nx, stalled_aux_instance
+from conftest import connected_atlas, graph_to_nx, nx_to_graph, stalled_aux_instance
 from critgraphs import (
     Graph,
     PreconditionError,
@@ -26,13 +26,14 @@ from critgraphs import (
     q_value,
     w_k,
 )
-from critgraphs.graph import _mask_bits
+from critgraphs.graph import _clique_vertices, _mask_bits
 from critgraphs.structure import (
     REGIMES,
     AuxiliaryBipartite,
     EliminationResult,
     _blocks,
     _in_t_k,
+    _tree_cuts,
     _w_q,
 )
 
@@ -67,6 +68,91 @@ def test_single_vertex_has_no_blocks():
 def test_blocks_reject_disconnected():
     with pytest.raises(PreconditionError):
         block_decomposition(Graph(4, [(0, 1), (2, 3)]))
+
+
+def reference_blocks(adj, mask):
+    """_blocks as first written: Tarjan's search with a generator of
+    neighbours per open vertex and a dict of discovery times as the visited
+    set, kept as the oracle for the mask-based stack."""
+    if not mask:
+        return [], 0
+    root = (mask & -mask).bit_length() - 1
+    disc = {root: 0}
+    low = {root: 0}
+    path = [root]
+    stack = [(root, _mask_bits(adj[root] & mask))]
+    blocks = []
+    cuts = 0
+    root_children = 0
+    while stack:
+        v, nbrs = stack[-1]
+        for w in nbrs:
+            if w not in disc:
+                disc[w] = low[w] = len(disc)
+                path.append(w)
+                stack.append((w, _mask_bits(adj[w] & mask)))
+                root_children += v == root
+                break
+            low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:
+                    blk = 1 << u
+                    while True:
+                        x = path.pop()
+                        blk |= 1 << x
+                        if x == v:
+                            break
+                    blocks.append(blk)
+                    if u != root:
+                        cuts |= 1 << u
+    if len(disc) != mask.bit_count():
+        return None
+    if root_children >= 2:
+        cuts |= 1 << root
+    return blocks, cuts
+
+
+def test_blocks_match_the_generator_reference():
+    """The same blocks in the same order and the same cuts, or None: on every
+    atlas graph at its full mask and at random submasks, and on random graphs
+    up to 14 vertices."""
+    rng = random.Random(29)
+    cases = []
+    for h in nx.graph_atlas_g():
+        g = nx_to_graph(h)
+        cases += [(g, (1 << g.n) - 1)] + [(g, rng.getrandbits(g.n)) for _ in range(3)]
+    for _ in range(1500):
+        n = rng.randint(1, 14)
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.35])
+        cases += [(g, (1 << n) - 1), (g, rng.getrandbits(n))]
+    disconnected = 0
+    for g, mask in cases:
+        want = reference_blocks(g._adj, mask)
+        assert _blocks(g._adj, mask) == want, (g.edges(), mask)
+        disconnected += want is None
+    assert 0 < disconnected < len(cases)
+
+
+def test_tree_cuts_read_w_off_the_blocks():
+    """A T_k member's cut mask is its block pass's, and its W, the union of
+    its clique blocks on k-1 vertices, is the clique search's, for every k;
+    outside T_k the answer is None."""
+    rng = random.Random(31)
+    members = 0
+    for h in nx.graph_atlas_g()[1:]:
+        g = nx_to_graph(h)
+        for mask in ((1 << g.n) - 1, rng.getrandbits(g.n)):
+            for k in range(1, 9):
+                found = _tree_cuts(g._adj, mask, k)
+                assert (found is not None) == _in_t_k(g._adj, mask, k)
+                if found is not None:
+                    members += 1
+                    assert found == (_blocks(g._adj, mask)[1], _clique_vertices(g._adj, mask, k - 1))
+    assert members > 1000
 
 
 # questions asked of a vertex mask, oracled against the induced copy
