@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 from .errors import PreconditionError
 from .generators import _gallai_trees
 from .graph import Graph, _vertex_mask
-from .structure import REGIMES, _w_q, regime
+from .structure import REGIMES, _decompose, _disconnected, regime
 
 F = Fraction
 
@@ -228,15 +228,20 @@ def _tree_failures(k: int, n: int, m2: int, w: int, q: int) -> list[str]:
 def tree_bound_failures(g: Graph, k: int) -> list[str]:
     """The four per-tree bounds on 2||G|| (Lemmas 2.2, 3.1 and Corollary
     3.3) for a Gallai tree g; returns the names of any that fail."""
-    w, q = _w_q(g._adj, (1 << g.n) - 1, k)
-    return _tree_failures(k, g.n, 2 * g.m, w, q)
+    adj, mask = g._adj, (1 << g.n) - 1
+    found = _decompose(adj, mask, k)
+    if found.q is None:
+        raise _disconnected(adj, mask)
+    return _tree_failures(k, g.n, 2 * g.m, found.w, found.q)
 
 
 def _blocks_w_q(blocks, k: int) -> tuple[int, int]:
-    """W and q of a Gallai tree from its block list, as _w_q gives them.
-    W is the union of the clique blocks on k-1 vertices: clique blocks stop
-    at k-1 and a cycle block of length 5 or more holds no triangle, so every
-    K_{k-1} is one of them.  The cut vertices lie in two blocks or more."""
+    """W and q of a Gallai tree from its block list, as tree_bound_failures
+    finds them.  W is the union of the clique blocks on k-1 vertices: clique
+    blocks stop at k-1 and a cycle block of length 5 or more holds no
+    triangle, so every K_{k-1} is one of them.  The cut vertices lie in two
+    blocks or more.  Its oracle is the clique search of the whole graph
+    (graph._clique_vertices) with the cut vertices of a Tarjan pass."""
     w = seen = cuts = 0
     for kind, ring in blocks:
         b = _vertex_mask(ring)

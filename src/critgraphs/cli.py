@@ -61,23 +61,13 @@ from .graph import (
     Graph,
     _check_graph6_order,
     _ints,
+    _mask_bits,
     parse_edge_list,
     parse_graph6,
     write_graph6,
 )
 from .reducible import MARKED_SET_CHECKS, MAX_EXPLORED, check_lemma51
-from .structure import (
-    REGIMES,
-    block_decomposition,
-    build_auxiliary,
-    eliminate,
-    in_t_k,
-    is_gallai_tree,
-    low_high_split,
-    q_value,
-    regime,
-    w_k,
-)
+from .structure import REGIMES, _decompose, build_auxiliary, eliminate, q_value, regime
 
 
 class _UsageError(Exception):
@@ -243,14 +233,7 @@ def _cmd_analyze(args):
     if k < 4:
         raise PreconditionError("k must be at least 4")
     g = _read_graph(args.graph)
-    connected = g.is_connected()
-    if connected:
-        decomp = block_decomposition(g)
-        blocks = decomp.blocks
-        cuts = decomp.cut_vertices
-    else:
-        blocks, cuts = (), frozenset()
-    split = low_high_split(g, k)
+    found = _decompose(g._adj, (1 << g.n) - 1, k)
     aux = build_auxiliary(g, k)
     elim = {}
     for mode in REGIMES:
@@ -261,20 +244,21 @@ def _cmd_analyze(args):
             "residual_trees": sorted(r.residual_trees) if r.residual_trees else None,
             "residual_highs": sorted(r.residual_highs) if r.residual_highs else None,
         }
+    degrees = g.degrees()
     verdicts = {
         "n": g.n,
         "m": g.m,
-        "degrees": [g.degree(v) for v in range(g.n)],
-        "connected": connected,
-        "is_gallai_tree": is_gallai_tree(g),
-        "in_T_k": in_t_k(g, k),
-        "blocks": [sorted(b) for b in blocks],
-        "cut_vertices": sorted(cuts),
-        "w_vertices": sorted(w_k(g, k)),
-        "q": q_value(g, k) if connected else None,
-        "l_components": [sorted(c) for c in split.l_components],
-        "h_vertices": sorted(split.h_vertices),
-        "higher_vertices": sorted(split.higher_vertices),
+        "degrees": list(degrees),
+        "connected": found.blocks is not None,
+        "is_gallai_tree": found.gallai,
+        "in_T_k": found.in_t_k,
+        "blocks": sorted(list(_mask_bits(b)) for b in found.blocks or ()),
+        "cut_vertices": list(_mask_bits(found.cuts or 0)),
+        "w_vertices": list(_mask_bits(found.w)),
+        "q": found.q,
+        "l_components": [sorted(c) for c in aux.tree_components],
+        "h_vertices": list(aux.y_vertices),
+        "higher_vertices": [v for v, d in enumerate(degrees) if d > k],
         "aux_edges": sorted([y, i] for y, i in aux.edges),
         "elimination": elim,
     }

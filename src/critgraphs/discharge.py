@@ -18,7 +18,7 @@ from typing import Optional, Union
 from .bounds import DischargeParams, _epsilon, g_family, make_params, preset_params
 from .errors import EliminationFailed, PreconditionError
 from .graph import Graph, _mask_bits, _vertex_mask
-from .structure import REGIMES, _tree_cuts, build_auxiliary, eliminate, low_high_split
+from .structure import REGIMES, _decompose, build_auxiliary, eliminate, low_high_split
 
 Node = Union[int, str]
 
@@ -90,9 +90,9 @@ def _check_degrees(g: Graph, k: int) -> None:
             raise PreconditionError("vertex %d has degree %d < k-1" % (v, d), witness=v)
 
 
-def _check_trees(components, tree_cuts) -> None:
-    for comp, cuts in zip(components, tree_cuts):
-        if cuts is None:
+def _check_trees(components, members) -> None:
+    for comp, member in zip(components, members):
+        if not member:
             raise PreconditionError(
                 "a component of the degree-(k-1) subgraph falls outside the "
                 "clique-or-odd-cycle-block family",
@@ -178,7 +178,8 @@ def run_gallai_discharge(g: Graph, k: int) -> ChargeLedger:
         raise PreconditionError("k must be at least 4", witness=k)
     _check_degrees(g, k)
     components = low_high_split(g, k).l_components
-    _check_trees(components, [_tree_cuts(g._adj, _vertex_mask(c), k) for c in components])
+    members = [_decompose(g._adj, _vertex_mask(c), k, search=False).in_t_k for c in components]
+    _check_trees(components, members)
     # Gallai's bound is the gallai preset's target with no W, so no vertex
     # sends a gamma: G1 sends that preset's epsilon, (k-1)/(k^2-3)
     amount = _epsilon(preset_params(k, "gallai"), 0)
@@ -194,7 +195,7 @@ def run_main_discharge(g: Graph, params: DischargeParams) -> ChargeLedger:
     # the auxiliary graph's trees are the components of the degree-(k-1)
     # subgraph, in the order low_high_split gives them
     aux = build_auxiliary(g, k)
-    _check_trees(aux.tree_components, aux.tree_cuts)
+    _check_trees(aux.tree_components, [cuts is not None for cuts in aux.tree_cuts])
     elim = eliminate(aux, params.mode)
     if not elim.succeeded:
         raise EliminationFailed(
@@ -265,11 +266,10 @@ def tree_charge_audit(
     adj, mask = g._adj, _vertex_mask(members)
     if mask.bit_count() != len(members):
         raise PreconditionError("component repeats a vertex", witness=members)
-    found = _tree_cuts(adj, mask, k)
-    if found is None:
+    found = _decompose(adj, mask, k)
+    if not found.in_t_k:
         raise PreconditionError("component outside the tree family", witness=members)
-    cuts, w = found
-    q = (w & ~cuts).bit_count()
+    w, q = found.w, found.q
     # 2|E(T)| is the sum of the degrees inside T
     two_m = sum((adj[v] & mask).bit_count() for v in members)
     a_val = (k - 1) * len(members) - two_m - q

@@ -74,16 +74,53 @@ def _blocks(adj, mask: int) -> Optional[tuple[list[int], int]]:
     return (blocks, cuts) if seen == mask else None
 
 
-def _connected_blocks(adj, mask: int) -> tuple[list[int], int]:
-    """_blocks of mask; raises PreconditionError if mask is disconnected."""
+def _disconnected(adj, mask: int) -> PreconditionError:
+    """The error for a disconnected mask: its witness is the lowest vertex of each component."""
+    comps = _component_masks(adj, mask)
+    return PreconditionError(
+        f"graph is disconnected ({len(comps)} components); decompose per component",
+        witness=tuple((c & -c).bit_length() - 1 for c in comps),
+    )
+
+
+class _Decomposition(NamedTuple):
+    """What one block pass tells of the subgraph induced on a mask."""
+
+    blocks: Optional[list[int]]  # block masks; None if the mask is disconnected
+    cuts: Optional[int]  # the cut-vertex mask; None if disconnected
+    gallai: bool  # a Gallai tree: nonempty, connected, every block a clique or an odd cycle
+    in_t_k: bool  # a Gallai tree of maximum degree <= k-1 other than K_k
+    w: Optional[int]  # the vertices in some K_{k-1}; None if not searched
+    q: Optional[int]  # how many of W are not cut vertices; None if W or cuts is None
+
+
+def _decompose(adj, mask: int, k: int, search: bool = True) -> _Decomposition:
+    """Blocks, cut vertices, Gallai and T_k membership, W and q of the
+    subgraph induced on mask, from one _blocks pass.  W of a T_k member,
+    k >= 4, is its clique blocks on k-1 vertices: as bounds._blocks_w_q
+    says, no clique block is larger and every K_{k-1} lies in one of them.
+    Any other W comes from the clique search, or is None if search is False."""
     found = _blocks(adj, mask)
-    if found is None:
-        comps = _component_masks(adj, mask)
-        raise PreconditionError(
-            f"graph is disconnected ({len(comps)} components); decompose per component",
-            witness=tuple((c & -c).bit_length() - 1 for c in comps),
-        )
-    return found
+    blocks, cuts = found or (None, None)
+    gallai = found is not None and mask != 0
+    w = 0
+    for blk in blocks if gallai else ():
+        size = blk.bit_count()
+        # a block is 2-connected, so all inner degrees 2 make it a cycle
+        inner = {(adj[v] & blk).bit_count() for v in _mask_bits(blk)}
+        if inner == {size - 1}:
+            w |= blk if size == k - 1 else 0
+        elif not (size % 2 and inner == {2}):
+            gallai = False
+            break
+    member = False
+    if gallai:
+        degrees = [(adj[v] & mask).bit_count() for v in _mask_bits(mask)]
+        member = max(degrees) < k and not (len(degrees) == k and min(degrees) == k - 1)
+    if not (member and k >= 4):
+        w = _clique_vertices(adj, mask, k - 1) if search else None
+    q = None if cuts is None or w is None else (w & ~cuts).bit_count()
+    return _Decomposition(blocks, cuts, gallai, member, w, q)
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
@@ -92,56 +129,23 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     Raises PreconditionError on disconnected input; callers should split into
     components first.
     """
-    blocks, cuts = _connected_blocks(g._adj, (1 << g.n) - 1)
-    verts = sorted(list(_mask_bits(b)) for b in blocks)
-    return BlockDecomposition(tuple(frozenset(b) for b in verts), frozenset(_mask_bits(cuts)))
-
-
-def _tree_cuts(adj, mask: int, k: int) -> Optional[tuple[int, int]]:
-    """The cut-vertex mask and W of the subgraph induced on mask if it is a
-    Gallai tree of maximum degree <= k-1 other than K_k; else None.  For
-    k >= 4, W is its clique blocks on k-1 vertices: as bounds._blocks_w_q
-    says, no clique block is larger and every K_{k-1} lies in one of them."""
-    degrees = [(adj[v] & mask).bit_count() for v in _mask_bits(mask)]
-    if not degrees or max(degrees) > k - 1 or len(degrees) == k and min(degrees) == k - 1:
-        return None
-    found = _blocks(adj, mask)
-    if found is None:
-        return None
-    w = 0
-    for blk in found[0]:
-        size = blk.bit_count()
-        # a block is 2-connected, so all inner degrees 2 make it a cycle
-        inner = {(adj[v] & blk).bit_count() for v in _mask_bits(blk)}
-        if inner != {size - 1} and not (size % 2 and inner == {2}):
-            return None
-        w |= blk if size == k - 1 and inner == {size - 1} else 0
-    return found[1], (w if k >= 4 else _clique_vertices(adj, mask, k - 1))
-
-
-def _in_t_k(adj, mask: int, k: int) -> bool:
-    return _tree_cuts(adj, mask, k) is not None
-
-
-def _w_q(adj, mask: int, k: int) -> tuple[int, int]:
-    """W and q of the subgraph induced on mask, which must be connected: the
-    mask of its vertices in some K_{k-1}, and how many of those are not cut
-    vertices."""
-    _, cuts = _connected_blocks(adj, mask)
-    w = _clique_vertices(adj, mask, k - 1)
-    return w, (w & ~cuts).bit_count()
+    adj, mask = g._adj, (1 << g.n) - 1
+    found = _decompose(adj, mask, 0, search=False)
+    if found.blocks is None:
+        raise _disconnected(adj, mask)
+    verts = sorted(list(_mask_bits(b)) for b in found.blocks)
+    return BlockDecomposition(tuple(frozenset(b) for b in verts), frozenset(_mask_bits(found.cuts)))
 
 
 def is_gallai_tree(g: Graph) -> bool:
     """Connected, and every block is a clique or an odd cycle. K_1 counts."""
-    # k = n + 1 bounds no degree and rules out no clique
-    return _tree_cuts(g._adj, (1 << g.n) - 1, g.n + 1) is not None
+    return _decompose(g._adj, (1 << g.n) - 1, 0, search=False).gallai
 
 
 def in_t_k(g: Graph, k: int) -> bool:
     """Member of the k-bounded Gallai-tree family: Gallai tree, max degree
     <= k-1, and not K_k itself."""
-    return _in_t_k(g._adj, (1 << g.n) - 1, k)
+    return _decompose(g._adj, (1 << g.n) - 1, k, search=False).in_t_k
 
 
 def w_k(g: Graph, k: int) -> frozenset:
@@ -151,7 +155,11 @@ def w_k(g: Graph, k: int) -> frozenset:
 
 def q_value(g: Graph, k: int) -> int:
     """Number of non-cut vertices among those in some K_{k-1}."""
-    return _w_q(g._adj, (1 << g.n) - 1, k)[1]
+    adj, mask = g._adj, (1 << g.n) - 1
+    found = _decompose(adj, mask, k)
+    if found.q is None:
+        raise _disconnected(adj, mask)
+    return found.q
 
 
 @dataclass(frozen=True)
@@ -195,26 +203,29 @@ def build_aux_partition(
     g: Graph, y_vertices, k: int, tree_vertices=None
 ) -> AuxiliaryBipartite:
     """General form: components are taken from tree_vertices (default: the
-    complement of y_vertices).  One _tree_cuts pass per component gives
-    tree_cuts and, in T_k, W; W outside T_k comes from the clique search."""
+    complement of y_vertices).  One _decompose call per component gives
+    tree_cuts and W."""
     ys = sorted(set(y_vertices))
     tree_pool = sorted(set(range(g.n)).difference(ys) if tree_vertices is None else set(tree_vertices))
     for v in ys + tree_pool:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
-    comps = _component_masks(g._adj, _vertex_mask(tree_pool))
+    pool = _vertex_mask(tree_pool)
+    both = _vertex_mask(ys) & pool
+    if both:
+        raise ValueError(f"vertex {(both & -both).bit_length() - 1} is both marked and a tree vertex")
+    comps = _component_masks(g._adj, pool)
     # W of a component is taken in the component alone: a marked vertex that
     # completes a K_{k-1} with tree vertices does not put them in W
-    found = [_tree_cuts(g._adj, comp, k) for comp in comps]
-    w_masks = [f[1] if f else _clique_vertices(g._adj, c, k - 1) for f, c in zip(found, comps)]
+    found = [_decompose(g._adj, comp, k) for comp in comps]
     return AuxiliaryBipartite(
         tree_components=tuple(frozenset(_mask_bits(c)) for c in comps),
-        w_sets=tuple(frozenset(_mask_bits(w)) for w in w_masks),
+        w_sets=tuple(frozenset(_mask_bits(f.w)) for f in found),
         y_vertices=tuple(ys),
         edges=frozenset(
-            (y, i) for y in ys for i, w in enumerate(w_masks) if g._adj[y] & w
+            (y, i) for y in ys for i, f in enumerate(found) if g._adj[y] & f.w
         ),
-        tree_cuts=tuple(None if f is None else f[0] for f in found),
+        tree_cuts=tuple(f.cuts if f.in_t_k else None for f in found),
     )
 
 

@@ -38,7 +38,7 @@ from critgraphs.bounds import (
 )
 from critgraphs.discharge import gallai_target
 from critgraphs.generators import _gallai_trees
-from critgraphs.structure import _w_q
+from critgraphs.structure import _blocks
 
 
 def small_p(k):
@@ -270,6 +270,8 @@ def test_tree_bound_failures_match_the_two_search_form():
 
 
 def test_tree_bound_failures_search_cliques_once(monkeypatch):
+    # every tree here is in T_5, so its W is read off its clique blocks and
+    # no clique search runs at all
     trees = list(enumerate_gallai_trees(5, 8))
     searches = 0
     expand = graph_module._expand
@@ -282,7 +284,7 @@ def test_tree_bound_failures_search_cliques_once(monkeypatch):
     monkeypatch.setattr(graph_module, "_expand", counted)
     for g in trees:
         tree_bound_failures(g, 5)
-    assert searches == len(trees)
+    assert len(trees) == 178 and searches == 0
 
 
 def test_tree_bound_sweep_agrees_with_the_graph_path():
@@ -296,7 +298,9 @@ def test_tree_bound_sweep_agrees_with_the_graph_path():
         for (g, blocks), (h, failures) in zip(trees, sweep):
             assert h == g
             w_q = _blocks_w_q(blocks, k)
-            assert w_q == _w_q(g._adj, (1 << g.n) - 1, k), (g.edges(), k)
+            full = (1 << g.n) - 1
+            w, cuts = graph_module._clique_vertices(g._adj, full, k - 1), _blocks(g._adj, full)[1]
+            assert w_q == (w, (w & ~cuts).bit_count()), (g.edges(), k)
             assert failures == tree_bound_failures(g, k), (g.edges(), k)
             seen.add((w_q[0] != 0, tuple(failures)))
     # both branches ran, and some tree failed a bound (k = 4 has failures)

@@ -10,15 +10,19 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
+from hashlib import sha256
 from itertools import combinations
 from pathlib import Path
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import critgraphs
-from conftest import build_charge_instance, stalled_aux_instance
+import critgraphs.graph as graph_module
+import critgraphs.structure as structure_module
+from conftest import build_charge_instance, nx_to_graph, stalled_aux_instance
 from critgraphs import Graph, extremal_chain, parse_graph6, write_edge_list, write_graph6
 from critgraphs.cli import _build_parser, _json, main
 from critgraphs.coloring import CHOOSE_MAX_VERTICES
@@ -643,6 +647,68 @@ def test_analyze_structure_fields(capsys):
     assert sorted(map(sorted, v["l_components"])) == [[0, 1, 2, 3, 4]]
     assert v["elimination"]["symmetric"]["succeeded"] is True
     assert doc["paper_anchor"] == "Section 2 structure"
+
+
+def test_analyze_decomposes_the_graph_once(monkeypatch):
+    """One block pass over the whole graph plus one per aux tree part, and
+    at most one clique search: blocks, cut vertices, Gallai and T_k status,
+    W and q all come from the whole graph's pass."""
+    passes, searches = [], []
+    blocks, expand = structure_module._blocks, graph_module._expand
+
+    def counted_blocks(adj, mask):
+        passes.append(mask)
+        return blocks(adj, mask)
+
+    def counted_expand(*args):
+        searches.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(structure_module, "_blocks", counted_blocks)
+    monkeypatch.setattr(graph_module, "_expand", counted_expand)
+    for graph, want_passes, want_searches in (("D~w", 2, 1), ("Dhc", 1, 0), ("@", 1, 0), ("A?", 1, 1)):
+        passes.clear()
+        searches.clear()
+        code, out = _main_output(["analyze", graph, "--k", "5"])
+        parts = json.loads(out)["verdicts"]["l_components"]
+        assert code == 0 and passes[0] == (1 << parse_graph6(graph).n) - 1, graph
+        assert sorted(passes[1:]) == sorted(sum(1 << v for v in part) for part in parts), graph
+        assert (len(passes), len(searches)) == (want_passes, want_searches), graph
+
+
+def analyze_digest(graphs, k):
+    """sha256 over the analyze documents of graphs at k, each without runtime."""
+    docs = []
+    for g in graphs:
+        code, out = _main_output(["analyze", g, "--k", str(k)])
+        doc = json.loads(out)
+        doc.pop("runtime", None)
+        docs.append([code, doc])
+    return sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of the analyze documents without runtime: the whole graph atlas
+# (1,253 graphs up to 7 vertices) at k = 4..7, and each named graph at k = 4..7
+ANALYZE_DIGESTS = {
+    "atlas": (
+        "1116f0c7c319864ab42e7b5892a80c079a4daa7bda8549270cbb866bdcb5b61b",  # k = 4
+        "685bae756f5903321f5d717326f18af65ff7b701532c31c39f6249a0f0e5f5fd",  # k = 5
+        "55c7cb8aefb32ee094ff66c99a3e16a23236da8af15178b4aabbc5d158ad6590",  # k = 6
+        "3c7a1c7ef8d986db347e515c4a748df92a7bd32ee238a4c736572f7f973378f8",  # k = 7
+    ),
+    "?": "f2401a474f32c3ef955e2910e52be73be3b74aece840744084216c6e2a938fb4",  # n = 0
+    "@": "b7e8df57f4b8a7bf78e13e725f4572073a047c23f959810bbdc31e5a15b3085a",  # K1
+    "A?": "25a523fde0e17fa872080558b1be85e858ba3d6d6392d20d1cfbc3d73b2abdbf",  # two isolated vertices
+    "Ehfw": "44c489c8e4e9c9ea3580b76ca396f72fb26aa6243b9d64762e083b9334319087",  # W5
+}
+
+
+def test_analyze_documents_match_their_pinned_digests():
+    atlas = [g6(nx_to_graph(h)) for h in nx.graph_atlas_g()]
+    got = {"atlas": tuple(analyze_digest(atlas, k) for k in (4, 5, 6, 7))}
+    for graph in ("?", "@", "A?", g6(Graph.wheel(5))):
+        got[graph] = sha256(" ".join(analyze_digest([graph], k) for k in (4, 5, 6, 7)).encode()).hexdigest()
+    assert got == ANALYZE_DIGESTS
 
 
 def test_bounds_table_values(capsys):

@@ -22,6 +22,8 @@ from critgraphs import (
     eliminate,
     enumerate_gallai_trees,
     gallai_target,
+    in_t_k,
+    induced_subgraph,
     low_high_split,
     main_bound,
     make_params,
@@ -35,7 +37,6 @@ from critgraphs import (
 from critgraphs.cli import main
 from critgraphs.discharge import _RECEIVE_RULES, ComponentShare, SponsorStats
 from critgraphs.graph import _vertex_mask
-from critgraphs.structure import _in_t_k
 
 
 def params_for(k, mode="auto"):
@@ -360,7 +361,7 @@ def reference_check_degrees_and_trees(g, k):
             )
     split = low_high_split(g, k)
     for comp in split.l_components:
-        if not _in_t_k(g._adj, _vertex_mask(comp), k):
+        if not in_t_k(induced_subgraph(g, sorted(comp))[0], k):
             raise PreconditionError(
                 "a component of the degree-(k-1) subgraph falls outside the "
                 "clique-or-odd-cycle-block family",

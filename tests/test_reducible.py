@@ -15,11 +15,13 @@ from critgraphs import (
     check_lemma53,
     contains_clique,
     eliminate,
+    in_t_k,
+    induced_subgraph,
     parse_graph6,
 )
 from critgraphs.graph import _clique_vertices, _component_masks, _mask_bits, _vertex_mask
 from critgraphs.reducible import MARKED_SET_CHECKS
-from critgraphs.structure import REGIMES, _in_t_k
+from critgraphs.structure import REGIMES
 
 SINGLE_KEYS = {"no_Kk", "parts_in_Tk", "outside_degree_cap", "w_hit_every_part", "x_degree"}
 MULTI_KEYS = {"no_Kk", "parts_in_Tk", "outside_degree_cap", "aux_degrees"}
@@ -183,7 +185,7 @@ def test_elimination_caps_and_lemma_floors_share_a_regime(mode):
 def hypotheses_by_definition(g, marked, k, mode=None):
     """The hypotheses of Lemma 5.1 (mode None, one marked vertex) or of the
     marked-set lemma of mode, and the aux edges: no_Kk by contains_clique,
-    each part's T_k membership by _in_t_k and its W by the clique search."""
+    each part's T_k membership by in_t_k of its induced copy and its W by the clique search."""
     marked = sorted(set(marked))
     rest = [v for v in range(g.n) if v not in marked]
     parts = _component_masks(g._adj, _vertex_mask(rest))
@@ -191,7 +193,7 @@ def hypotheses_by_definition(g, marked, k, mode=None):
     edges = {(y, i) for y in marked for i, w in enumerate(ws) if g._adj[y] & w}
     hyps = {
         "no_Kk": not contains_clique(g, k)[0],
-        "parts_in_Tk": all(_in_t_k(g._adj, part, k) for part in parts),
+        "parts_in_Tk": all(in_t_k(induced_subgraph(g, list(_mask_bits(part)))[0], k) for part in parts),
         "outside_degree_cap": all(g.degree(v) <= k - 1 for v in rest),
     }
     if mode is None:

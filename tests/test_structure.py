@@ -32,9 +32,7 @@ from critgraphs.structure import (
     AuxiliaryBipartite,
     EliminationResult,
     _blocks,
-    _in_t_k,
-    _tree_cuts,
-    _w_q,
+    _decompose,
 )
 
 
@@ -139,19 +137,23 @@ def test_blocks_match_the_generator_reference():
 
 def test_tree_cuts_read_w_off_the_blocks():
     """A T_k member's cut mask is its block pass's, and its W, the union of
-    its clique blocks on k-1 vertices, is the clique search's, for every k;
-    outside T_k the answer is None."""
+    its clique blocks on k-1 vertices, is the clique search's, for every k,
+    as is W outside T_k; without the search, W outside T_k (or below k = 4)
+    is None and every other answer is the same."""
     rng = random.Random(31)
     members = 0
     for h in nx.graph_atlas_g()[1:]:
         g = nx_to_graph(h)
         for mask in ((1 << g.n) - 1, rng.getrandbits(g.n)):
             for k in range(1, 9):
-                found = _tree_cuts(g._adj, mask, k)
-                assert (found is not None) == _in_t_k(g._adj, mask, k)
-                if found is not None:
+                found = _decompose(g._adj, mask, k)
+                unsearched = _decompose(g._adj, mask, k, search=False)
+                assert found[:4] == unsearched[:4]
+                assert found.w == _clique_vertices(g._adj, mask, k - 1)
+                assert (unsearched.w is None) == (not found.in_t_k or k < 4)
+                if found.in_t_k:
                     members += 1
-                    assert found == (_blocks(g._adj, mask)[1], _clique_vertices(g._adj, mask, k - 1))
+                    assert found.cuts == _blocks(g._adj, mask)[1]
     assert members > 1000
 
 
@@ -168,7 +170,8 @@ def test_mask_answers_match_the_induced_copy(n, data):
     sub, _ = induced_subgraph(g, verts)
     found = _blocks(g._adj, mask)
     for k in range(1, 9):
-        assert _in_t_k(g._adj, mask, k) == in_t_k(sub, k)
+        assert _decompose(g._adj, mask, k).in_t_k == in_t_k(sub, k)
+    assert _decompose(g._adj, mask, 0).gallai == is_gallai_tree(sub)
     if not sub.is_connected():
         assert found is None
         return
@@ -179,7 +182,8 @@ def test_mask_answers_match_the_induced_copy(n, data):
     )
     assert frozenset(_mask_bits(cuts)) == frozenset(verts[v] for v in bd.cut_vertices)
     for k in range(1, 9):
-        w, q = _w_q(g._adj, mask, k)
+        found = _decompose(g._adj, mask, k)
+        w, q = found.w, found.q
         assert q == q_value(sub, k)
         assert frozenset(_mask_bits(w)) == nx_w(g, k, verts)
 
@@ -361,6 +365,11 @@ def test_aux_partition_accepts_explicit_sides():
     for bad in ([-1], [7]):
         with pytest.raises(ValueError, match="vertex %d out of range" % bad[0]):
             build_aux_partition(g, bad, 5)
+    # a marked vertex on the tree side would see its own part
+    with pytest.raises(ValueError, match="vertex 0 is both marked and a tree vertex"):
+        build_aux_partition(Graph.complete(4), [0], 5, [0, 1, 2, 3])
+    with pytest.raises(ValueError, match="vertex 2 is both marked and a tree vertex"):
+        build_aux_partition(g, [2, 3], 5, [0, 1, 2, 4])
 
 
 def test_aux_w_sets_match_networkx():
