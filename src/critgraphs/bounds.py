@@ -154,13 +154,16 @@ def check_thm43(bp: BoundParams) -> CheckReport:
 
 @dataclass(frozen=True)
 class DischargeParams:
+    """The discharging parameters built from the triple bp at k (make_params).
+    target, the average degree the rules reach, is computed once per object."""
+
     k: int
     bp: BoundParams
     mode: str
     epsilon: Fraction
     gamma: Fraction
 
-    @property
+    @functools.cached_property
     def target(self) -> Fraction:
         return (self.k - 1) + (2 - self.bp.p) * self.epsilon
 

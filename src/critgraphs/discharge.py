@@ -6,7 +6,9 @@ two-rule redistribution behind the k-1 + (k-3)/(k^2-3) average-degree bound
 (rules G1, G2), which is R1 and R4 with W empty.
 Every transfer is recorded, so a ledger can be replayed and audited after
 the fact.  Charges are summed in integer units of 1/D, D the lcm of the
-denominators in play: nothing is rounded, and every value exposed is a Fraction.
+denominators in play: nothing is rounded, and every value exposed is a Fraction,
+built once per distinct value and shared.  A DischargeParams computes its
+target once, however many audits read it.
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +30,12 @@ def _in_units(values) -> tuple[list[int], int]:
     ratios = [x.as_integer_ratio() for x in values]
     unit = lcm(*{d for _, d in ratios})
     return [n * (unit // d) for n, d in ratios], unit
+
+
+def _fractions(counts, unit: int) -> list[Fraction]:
+    """Fraction(c, unit) for each int c of counts, one Fraction per distinct c."""
+    exact = {c: Fraction(c, unit) for c in set(counts)}
+    return [exact[c] for c in counts]
 
 
 def _exact_sum(values) -> Fraction:
@@ -71,7 +79,7 @@ class ChargeLedger:
             if isinstance(node, str) and net:
                 residue = Fraction(net, unit)
                 raise AssertionError("pool %r nets %s, expected 0" % (node, residue))
-        return tuple(Fraction(charge[v], unit) for v in range(n))
+        return tuple(_fractions([charge[v] for v in range(n)], unit))
 
     def outflow(self, v: Node, rules: Optional[set] = None) -> Fraction:
         return _exact_sum(
@@ -147,7 +155,7 @@ def _discharge(
     for rule, src, dst, _ in transfers:
         charge[src] -= step[rule]
         charge[dst] += step[rule]
-    final = [Fraction(x, unit) for x in charge]
+    final = _fractions(charge, unit)
     shares = []
     for i, comp in enumerate(components):
         members = sorted(comp)
@@ -160,7 +168,7 @@ def _discharge(
             final[v] = share
         shares.append(ComponentShare(i, tuple(members), total, share))
     return ChargeLedger(
-        g.n, tuple(Fraction(d) for d in deg), tuple(transfers), tuple(final), tuple(shares), tuple(w_masks)
+        g.n, tuple(_fractions(deg, 1)), tuple(transfers), tuple(final), tuple(shares), tuple(w_masks)
     )
 
 

@@ -68,7 +68,7 @@ def _independent_subsets(adj, mask: int) -> list[int]:
 class Graph:
     """Immutable simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_adj", "_m")
+    __slots__ = ("n", "_adj", "_m", "_deg")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -87,6 +87,7 @@ class Graph:
         self.n = n
         self._adj = tuple(adj)
         self._m = m
+        self._deg = None
 
     @property
     def m(self) -> int:
@@ -97,7 +98,10 @@ class Graph:
         return self._adj[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(a.bit_count() for a in self._adj)
+        """The degree of each vertex, computed once per graph."""
+        if self._deg is None:
+            self._deg = tuple(a.bit_count() for a in self._adj)
+        return self._deg
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(_mask_bits(self._adj[v]))

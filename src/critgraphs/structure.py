@@ -145,6 +145,9 @@ def is_gallai_tree(g: Graph) -> bool:
 def in_t_k(g: Graph, k: int) -> bool:
     """Member of the k-bounded Gallai-tree family: Gallai tree, max degree
     <= k-1, and not K_k itself."""
+    # a degree of k or more rules g out, so no block pass is needed
+    if max(g.degrees(), default=0) >= k:
+        return False
     return _decompose(g._adj, (1 << g.n) - 1, k, search=False).in_t_k
 
 

@@ -642,6 +642,46 @@ def test_replay_names_a_pools_residue_as_a_fraction():
     assert str(got.value) == str(want.value) == "pool 'share:1' nets 1/3, expected 0"
 
 
+# one Fraction per distinct charge
+
+def per_vertex_fractions(counts, unit):
+    """The construction discharge._fractions replaced: a fresh Fraction per entry."""
+    return [F(c, unit) for c in counts]
+
+
+def test_ledgers_build_one_fraction_per_distinct_charge(monkeypatch):
+    inst = max(charge_corpus(7), key=lambda i: i.graph.n)
+    g, pr = inst.graph, params_for(7)
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return F(*args)
+
+    monkeypatch.setattr(discharge_module, "Fraction", counted)
+    ledger = run_main_discharge(g, pr)
+    built = len(made)
+    made.clear()
+    ledger.replay()
+    # a fresh Fraction per vertex made 192 and 94 on these 94 vertices
+    assert g.n == 94 and built < g.n / 4 and len(made) < g.n / 4, (built, len(made))
+
+
+def test_shared_fractions_match_a_fresh_fraction_per_vertex(monkeypatch):
+    instances = [three_ai_instance()] + [(i.graph, k) for k in (5, 6, 7, 8) for i in charge_corpus(k)]
+
+    def ledgers():
+        out = []
+        for g, k in instances:
+            for ledger in (run_main_discharge(g, params_for(k)), run_gallai_discharge(g, k)):
+                out.append((ledger, repr(ledger), repr(ledger.replay())))
+        return out
+
+    shared = ledgers()
+    monkeypatch.setattr(discharge_module, "_fractions", per_vertex_fractions)
+    assert shared == ledgers()
+
+
 # discharge documents through main(), pinned as computed before charges were
 # summed in integer units
 

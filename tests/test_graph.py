@@ -91,6 +91,25 @@ def test_component_masks_match_networkx(n, data):
     assert got == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12), st.data())
+def test_degrees_are_computed_once_and_match_each_vertex(n, data):
+    pairs = list(combinations(range(n), 2))
+    picked = sorted(data.draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    g = Graph(n, picked)
+    before = g.degrees()
+    graphs = [g, parse_graph6(write_graph6(g)), parse_edge_list(write_edge_list(g))]
+    if picked:
+        graphs.append(g.remove_edge(*data.draw(st.sampled_from(picked))))
+    size = data.draw(st.integers(3, 9))
+    graphs += [Graph.complete(size), Graph.cycle(size), Graph.wheel(size)]
+    for h in graphs:
+        first = h.degrees()
+        assert first == tuple(h.degree(v) for v in range(h.n))
+        assert h.degrees() is first and h.degrees() == first
+    assert g.degrees() is before
+
+
 # graph6 codec, oracled against networkx
 
 def test_graph6_known_strings():

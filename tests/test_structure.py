@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import critgraphs.structure as structure_module
 from conftest import connected_atlas, graph_to_nx, nx_to_graph, stalled_aux_instance
 from critgraphs import (
     Graph,
@@ -230,6 +231,23 @@ def test_in_t_k_from_first_principles():
                 and omega < k
             )
             assert in_t_k(g, k) == expect
+
+
+def test_in_t_k_refuses_a_high_degree_before_any_block_pass(monkeypatch):
+    passes = []
+    blocks = structure_module._blocks
+
+    def counted(adj, mask):
+        passes.append(mask)
+        return blocks(adj, mask)
+
+    monkeypatch.setattr(structure_module, "_blocks", counted)
+    assert not in_t_k(Graph.complete(1005), 5)
+    assert passes == []
+    for h in nx.graph_atlas_g():
+        g = nx_to_graph(h)
+        for k in (3, 4, 5, 6):
+            assert in_t_k(g, k) == _decompose(g._adj, (1 << g.n) - 1, k, search=False).in_t_k
 
 
 def test_in_t_k_excludes_the_full_clique():
